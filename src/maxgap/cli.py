@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -165,11 +165,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+def _write_csv(fh: TextIO, columns: Sequence[str], rows: Sequence[dict]) -> None:
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+
+
+def _open_out(path: str) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -210,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     }
                 )
                 flags.setdefault((name, rec.budget), []).append(err)
-            stopped = trace.stopped_by in ("rule", "early_rule", "degenerate")
+            stopped = trace.stopped_by in ("rule", "early_rule")
             if stopped or not config.checkpoints:
                 err = int(trace.clusters[0] != truth)
                 rows.append(
@@ -252,7 +255,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         )
     )
     if config.out:
-        _write_csv(config.out, RESULT_COLUMNS, rows)
+        with _open_out(config.out) as fh:
+            _write_csv(fh, RESULT_COLUMNS, rows)
     return rows
 
 
@@ -276,7 +280,8 @@ def allocation_profile(config: ExperimentConfig) -> list[dict]:
         for arm in range(instance.n_arms)
     ]
     if config.out:
-        _write_csv(config.out, PROFILE_COLUMNS, rows)
+        with _open_out(config.out) as fh:
+            _write_csv(fh, PROFILE_COLUMNS, rows)
     return rows
 
 
@@ -462,17 +467,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = _config_from_args(args)
             rows = run_experiment(config)
             if not config.out:
-                _write_stdout_csv(RESULT_COLUMNS, rows)
+                _write_csv(sys.stdout, RESULT_COLUMNS, rows)
         elif args.command == "profile":
             config = _config_from_args(args)
             rows = allocation_profile(config)
             if not config.out:
-                _write_stdout_csv(PROFILE_COLUMNS, rows)
+                _write_csv(sys.stdout, PROFILE_COLUMNS, rows)
         elif args.command == "verify-bounds":
             report = verify_bounds(args.arms, args.snapshots, args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)
             if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                with _open_out(args.out) as fh:
                     fh.write(text + "\n")
             print(
                 f"verify-bounds: arms={args.arms} snapshots={args.snapshots} "
@@ -491,16 +496,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = hardness_report(instance, config.delta, config.alpha)
             write_hardness_report(instance, report)
             if config.out:
-                _write_csv(config.out, HARDNESS_COLUMNS, _hardness_csv_rows(instance, report))
+                with _open_out(config.out) as fh:
+                    _write_csv(fh, HARDNESS_COLUMNS, _hardness_csv_rows(instance, report))
     except (ValueError, OSError) as exc:
         parser.exit(2, f"maxgap: error: {exc}\n")
     return 0
-
-
-def _write_stdout_csv(columns: Sequence[str], rows: Sequence[dict]) -> None:
-    sys.stdout.write(",".join(columns) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ right/left adjacent-mean gap any assignment of means consistent with all
 intervals could give arm ``a``.  The key fact is that the optimum is attained
 with the arm pinned at one of finitely many anchor positions: the left
 endpoints of intervals falling inside [l_a, r_a] for the right gap (right
-endpoints for the left gap).  Evaluating the anchor function at those points
-yields an exact bound in O(K^2) total for all arms.
+endpoints for the left gap).  ``upper_gaps`` bounds all arms at once: away
+from the top of the order an anchor's value does not depend on the arm, so
+each arm's right bound is a range max over one sorted anchor vector (an
+O(K log K) sort and searches plus one ``reduceat``), and the left bound is the
+same kernel on the reflected intervals.
 
 ``brute_force_upper_gap`` independently maximizes the same objective by
 enumerating candidate endpoint placements and checking, per configuration,
@@ -70,18 +73,15 @@ class GapBounds:
 
     ``upper_right`` / ``upper_left`` / ``upper`` are per-arm; ``lower`` is the
     certified global lower bound on the largest gap (may be negative when no
-    split is separated).  ``anchor_right`` / ``anchor_left`` record, per arm,
-    the arm whose endpoint served as the maximizing anchor.  ``split_size`` is
-    the number of top-group arms in the maximizing split and
-    ``lower_witness`` the (top-group arm, bottom-group arm) pair attaining it.
+    split is separated).  ``split_size`` is the number of top-group arms in
+    the maximizing split and ``lower_witness`` the (top-group arm,
+    bottom-group arm) pair attaining it.
     """
 
     upper_right: np.ndarray
     upper_left: np.ndarray
     upper: np.ndarray
     lower: float
-    anchor_right: np.ndarray
-    anchor_left: np.ndarray
     split_size: int
     lower_witness: tuple[int, int]
 
@@ -133,104 +133,47 @@ def upper_gap(a: int, snapshot: IntervalSnapshot) -> tuple[float, float, float]:
     return ud_r, ud_l, max(ud_r, ud_l)
 
 
-def _grouped_anchor_max(
-    vals: np.ndarray, owners: np.ndarray, seg_offsets: np.ndarray, n_arms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segmented max plus the owner of the maximizing anchor per segment."""
-    best = np.maximum.reduceat(vals, seg_offsets)
-    seg_ids = np.repeat(np.arange(n_arms), np.diff(np.append(seg_offsets, vals.size)))
-    is_best = vals == best[seg_ids]
-    # first maximizing position per segment (segments are nonempty)
-    first = np.full(n_arms, vals.size, dtype=np.int64)
-    pos = np.flatnonzero(is_best)
-    np.minimum.at(first, seg_ids[pos], pos)
-    return best, owners[first]
+def _right_gaps(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Right gap upper bound of every arm (the left one is ``_right_gaps(-r, -l)``).
+
+    An anchor at sorted-``l`` position ``j`` is worth ``min r`` over the arms
+    whose left endpoint lies strictly above ``ls[j]``, minus ``ls[j]``: that
+    does not depend on the arm being bounded, so one length-K vector holds
+    every anchor value, and an arm's bound is its range max over the anchors
+    in ``[l_a, r_a]``.  The exception is the top tie group of ``l``, where
+    nothing is forced right and the gap is the largest *other* upper endpoint
+    minus ``max l``; that tail term is added per arm.  Each range keeps at
+    least the arm's own anchor, so crossed envelopes (l > r) stay defined.
+    """
+    order = np.argsort(l, kind="stable")
+    ls = l[order]
+    sufmin_r = np.append(np.minimum.accumulate(r[order][::-1])[::-1], -np.inf)
+    # anchor values, -inf on the top tie group, plus a sentinel so ranges may end at K
+    vals = np.append(sufmin_r[np.searchsorted(ls, ls, side="right")] - ls, -np.inf)
+    lo = np.searchsorted(ls, l, side="left")
+    hi = np.maximum(np.searchsorted(ls, r, side="right"), lo + 1)
+    ud = np.maximum.reduceat(vals, np.column_stack((lo, hi)).ravel())[::2]
+
+    top = np.argmax(r)
+    maxr_excl = np.full_like(r, r[top])
+    maxr_excl[top] = np.delete(r, top).max()
+    reaches_top = hi > np.searchsorted(ls, ls[-1], side="left")
+    return np.maximum(ud, np.where(reaches_top, maxr_excl - ls[-1], -np.inf))
 
 
-def upper_gaps(l: np.ndarray, r: np.ndarray, want_anchors: bool = False):
+def upper_gaps(l: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right and left gap upper bounds for every arm at once.
 
-    Returns (upper_right, upper_left) arrays, plus anchor-owner arrays when
-    ``want_anchors`` is set.  Runs in O(K^2) element work with no per-arm
-    Python loop, so it is cheap enough to sit inside simulation inner loops.
-    Each arm's own endpoint is always included as an anchor, which keeps the
-    computation defined even for crossed envelope intervals (a bad-event
-    artifact where l > r).
+    Returns (upper_right, upper_left).  One sort, a few binary searches and a
+    single ``np.maximum.reduceat`` range max per side, with no per-arm Python
+    loop and no (arm, anchor) pairs written out; the left side is the right
+    kernel on the reflected intervals ``[-r, -l]``.  Matches the scalar
+    ``upper_gap``, and stays defined for crossed envelope intervals (a
+    bad-event artifact where l > r).
     """
     l = np.asarray(l, dtype=float)
     r = np.asarray(r, dtype=float)
-    k = l.size
-    idx = np.arange(k)
-
-    # ---- right bounds: anchors are left endpoints inside [l_a, r_a] ----
-    order_l = np.argsort(l, kind="stable")
-    ls, rs = l[order_l], r[order_l]
-    sufmin_r = np.minimum.accumulate(rs[::-1])[::-1]  # min r over sorted-l suffix
-    top_r_arm = int(np.argmax(r))
-    r_wo_top = r.copy()
-    r_wo_top[top_r_arm] = -np.inf
-    second_r = r_wo_top.max()
-    maxr_excl = np.where(idx == top_r_arm, second_r, r[top_r_arm])
-
-    lo = np.searchsorted(ls, l, side="left")
-    hi = np.searchsorted(ls, r, side="right")
-    n = np.maximum(hi - lo, 0) + 1  # +1 for the arm's own left endpoint
-    offsets = np.concatenate(([0], np.cumsum(n)[:-1]))
-    arm_ids = np.repeat(idx, n)
-    pos_in_seg = np.arange(int(n.sum())) - np.repeat(offsets, n)
-    in_range = pos_in_seg > 0
-    src = np.repeat(lo, n) + pos_in_seg - 1
-    xs = np.where(in_range, ls[np.minimum(src, k - 1)], l[arm_ids])
-    owners = np.where(in_range, order_l[np.minimum(src, k - 1)], arm_ids)
-    above = np.searchsorted(ls, xs, side="right")
-    has_above = above < k
-    vals = np.where(
-        has_above,
-        sufmin_r[np.minimum(above, k - 1)] - xs,
-        maxr_excl[arm_ids] - xs,
-    )
-    if want_anchors:
-        ud_r, anchor_r = _grouped_anchor_max(vals, owners, offsets, k)
-    else:
-        ud_r = np.maximum.reduceat(vals, offsets)
-        anchor_r = None
-
-    # ---- left bounds: anchors are right endpoints inside [l_a, r_a] ----
-    order_r = np.argsort(r, kind="stable")
-    rs2, ls2 = r[order_r], l[order_r]
-    prefmax_l = np.maximum.accumulate(ls2)  # max l over sorted-r prefix
-    bot_l_arm = int(np.argmin(l))
-    l_wo_bot = l.copy()
-    l_wo_bot[bot_l_arm] = np.inf
-    second_l = l_wo_bot.min()
-    minl_excl = np.where(idx == bot_l_arm, second_l, l[bot_l_arm])
-
-    lo2 = np.searchsorted(rs2, l, side="left")
-    hi2 = np.searchsorted(rs2, r, side="right")
-    n2 = np.maximum(hi2 - lo2, 0) + 1  # +1 for the arm's own right endpoint
-    offsets2 = np.concatenate(([0], np.cumsum(n2)[:-1]))
-    arm_ids2 = np.repeat(idx, n2)
-    pos2 = np.arange(int(n2.sum())) - np.repeat(offsets2, n2)
-    in_range2 = pos2 > 0
-    src2 = np.repeat(lo2, n2) + pos2 - 1
-    xs2 = np.where(in_range2, rs2[np.minimum(src2, k - 1)], r[arm_ids2])
-    owners2 = np.where(in_range2, order_r[np.minimum(src2, k - 1)], arm_ids2)
-    below = np.searchsorted(rs2, xs2, side="left")
-    has_below = below > 0
-    vals2 = np.where(
-        has_below,
-        xs2 - prefmax_l[np.maximum(below, 1) - 1],
-        xs2 - minl_excl[arm_ids2],
-    )
-    if want_anchors:
-        ud_l, anchor_l = _grouped_anchor_max(vals2, owners2, offsets2, k)
-    else:
-        ud_l = np.maximum.reduceat(vals2, offsets2)
-        anchor_l = None
-
-    if want_anchors:
-        return ud_r, ud_l, anchor_r, anchor_l
-    return ud_r, ud_l
+    return _right_gaps(l, r), _right_gaps(-r, -l)
 
 
 def lower_max_gap(
@@ -268,15 +211,13 @@ def compute_gap_bounds(
     snapshot: IntervalSnapshot, empirical_means: np.ndarray
 ) -> GapBounds:
     """Bundle per-arm upper bounds and the global lower bound with witnesses."""
-    ud_r, ud_l, anchor_r, anchor_l = upper_gaps(snapshot.l, snapshot.r, want_anchors=True)
+    ud_r, ud_l = upper_gaps(snapshot.l, snapshot.r)
     lower, split_size, witness = lower_max_gap(snapshot.l, snapshot.r, empirical_means)
     return GapBounds(
         upper_right=ud_r,
         upper_left=ud_l,
         upper=np.maximum(ud_r, ud_l),
         lower=lower,
-        anchor_right=anchor_r,
-        anchor_left=anchor_l,
         split_size=split_size,
         lower_witness=witness,
     )

@@ -215,7 +215,7 @@ class TestVerifyBounds:
     def test_discrepancy_exits_nonzero(self, monkeypatch, capsys):
         import maxgap.cli as cli
 
-        def broken(l, r, want_anchors=False):
+        def broken(l, r):
             return np.zeros(l.size), np.zeros(l.size)
 
         monkeypatch.setattr(cli, "upper_gaps", broken)

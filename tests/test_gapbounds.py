@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap.env import ArmSpec, Instance
+from maxgap import cli
+from maxgap.algorithms import RunConfig, max_gap_elim
+from maxgap.env import ArmSpec, Instance, build_two_gap_instance
 from maxgap.gapbounds import (
     IntervalSnapshot,
     brute_force_upper_gap,
@@ -87,12 +89,20 @@ class TestUpperGap:
             assert max(br, bl) == pytest.approx(inst.gaps[a], abs=1e-12)
 
     def test_scalar_matches_vectorized(self):
+        # generic intervals at K 3..8, then each ``verify-bounds`` stress
+        # pattern (degenerate points, identical and nested intervals among
+        # them) twice at K up to 90, where ties reach the top of the order
+        # and anchor ranges span most arms
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            k = int(rng.integers(3, 9))
-            s = random_snapshot(rng, k)
+        snapshots = [random_snapshot(rng, int(rng.integers(3, 9))) for _ in range(50)]
+        snapshots += [
+            snap(*cli._random_snapshot(rng, k, pattern))
+            for k in (3, 4, 5, 6, 7, 8, 24, 90)
+            for pattern in range(12)
+        ]
+        for s in snapshots:
             udr, udl = upper_gaps(s.l, s.r)
-            for a in range(k):
+            for a in range(s.n_arms):
                 sr, sl, sm = upper_gap(a, s)
                 assert sr == pytest.approx(udr[a], abs=1e-12)
                 assert sl == pytest.approx(udl[a], abs=1e-12)
@@ -135,6 +145,56 @@ class TestUpperGap:
                 continue
             udr, udl = upper_gaps(s.l, s.r)
             assert np.all(np.maximum(udr, udl) >= inst.gaps - 1e-12)
+
+
+def anchor_loop_right(l, r):
+    """Right gap bounds by ``right_anchor_gap``'s rule on raw arrays.
+
+    Anchors are ``l_a`` plus every ``l_b`` in ``[l_a, r_a]``.  An anchor ``x``
+    is capped by the smallest ``r`` among the other arms with ``l > x``, or
+    else by the largest other ``r``.  Unlike ``IntervalSnapshot`` this takes
+    crossed rows (l > r).
+    """
+    k = l.size
+    out = np.empty(k)
+    for a in range(k):
+        others = np.arange(k) != a
+        best = -np.inf
+        for x in np.append(l[(l >= l[a]) & (l <= r[a])], l[a]):
+            forced = others & (l > x)
+            cap = r[forced].min() if forced.any() else r[others].max()
+            best = max(best, cap - x)
+        out[a] = best
+    return out
+
+
+class TestCrossedEnvelopes:
+    @pytest.mark.parametrize("seed", [10400017, 10900048])
+    def test_recorded_bounds_match_anchor_loop(self, seed):
+        # bad-event elimination runs on the two-gap instance in which some
+        # envelopes cross; the left side is the right rule on the reflection
+        config = RunConfig(delta=0.1, budget_cap=60_000_000, check_growth=1.02)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        trace = max_gap_elim(build_two_gap_instance(), config, rng)
+        assert (trace.env_l > trace.env_r).any()
+        for l, r, udr, udl in zip(
+            trace.env_l, trace.env_r, trace.upper_right, trace.upper_left
+        ):
+            assert np.abs(anchor_loop_right(l, r) - udr).max() <= 1e-12
+            assert np.abs(anchor_loop_right(-r, -l) - udl).max() <= 1e-12
+
+    def test_forced_crossings_match_anchor_loop(self):
+        # one arm per snapshot swapped to l > r; when that arm held the
+        # largest r it now tops the order of l with an empty anchor range
+        rng = np.random.default_rng(15)
+        for i in range(300):
+            k = int(rng.integers(3, 9))
+            l, r = cli._random_snapshot(rng, k, i)
+            a = int(rng.integers(k))
+            l[a], r[a] = r[a] + rng.uniform(0.0, 0.3), l[a]
+            udr, udl = upper_gaps(l, r)
+            assert np.abs(anchor_loop_right(l, r) - udr).max() <= 1e-12
+            assert np.abs(anchor_loop_right(-r, -l) - udl).max() <= 1e-12
 
 
 class TestBruteForceOracle:
