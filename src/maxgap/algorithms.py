@@ -1,9 +1,11 @@
 """Adaptive algorithms for largest-gap identification, plus baselines.
 
-All algorithms share the same skeleton: sample some set of arms each round,
-maintain anytime confidence intervals (envelope form), convert them into gap
-upper bounds and a global lower bound, and stop once the bounds certify the
-split.  They differ in which arms they sample:
+All algorithms share the same skeleton, ``_Run.step``: sample some set of
+arms up to the next scheduled check, refresh the anytime confidence intervals
+(envelope form), and convert them into gap upper bounds and a global lower
+bound.  The bound-driven samplers are that loop plus a selection rule, which
+picks the next set from the bounds and says when they certify the split.
+They differ in which arms they sample:
 
 - ``max_gap_elim`` samples every arm in an active set and eliminates arms
   whose gap upper bound falls below the certified lower bound.
@@ -28,7 +30,6 @@ identical seeds give identical traces.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -101,6 +102,7 @@ class RunTrace:
     Per-record arrays cover the rounds at which bounds were recomputed;
     ``sampled`` marks arms drawn in the block ending at that round and
     ``active`` the algorithm's active/top set after the round's update.
+    ``upper`` is derived: the larger of ``upper_right`` and ``upper_left``.
     """
 
     algorithm: str
@@ -109,7 +111,6 @@ class RunTrace:
     counts: np.ndarray
     upper_right: np.ndarray
     upper_left: np.ndarray
-    upper: np.ndarray
     lower: np.ndarray
     env_l: np.ndarray
     env_r: np.ndarray
@@ -126,6 +127,10 @@ class RunTrace:
     good_event: bool
     phase1_rounds: Optional[int] = None
     degenerate_rounds: int = 0
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.maximum(self.upper_right, self.upper_left)
 
     def fingerprint(self) -> str:
         """Digest of the full trace; equal inputs must reproduce it exactly."""
@@ -175,14 +180,9 @@ def report_clusters(
     return top, bottom
 
 
-def _next_check(t: int, growth: float) -> int:
-    if growth <= 1.0:
-        return t + 1
-    return max(t + 1, int(t * growth))
-
-
 class _Run:
-    """Shared bookkeeping: sampling blocks, budget cap, checkpoints, records."""
+    """Shared bookkeeping: the recompute schedule, sampling blocks, budget
+    cap, checkpoints, the bounds of the last check and the records."""
 
     def __init__(self, instance: Instance, config: RunConfig, rng: np.random.Generator):
         if config.budget_cap < instance.n_arms:
@@ -194,13 +194,11 @@ class _Run:
         self.t = 0
         self.total = 0
         self.truncated = False
+        self.degenerate_rounds = 0
         self._ckpts = list(config.checkpoints)
         self._next_ckpt = 0
         self.checkpoint_records: list[CheckpointRecord] = []
-        self._rec: dict[str, list] = {
-            "round": [], "counts": [], "udr": [], "udl": [], "ud": [],
-            "lb": [], "env_l": [], "env_r": [], "sampled": [], "active": [],
-        }
+        self._rows: list[tuple] = []
 
     # -- sampling ---------------------------------------------------------
 
@@ -241,75 +239,77 @@ class _Run:
         out = np.concatenate(chunks, axis=0) if collect and chunks else None
         return done, out
 
-    def _record_checkpoint(self, budget: int) -> None:
-        self.checkpoint_records.append(
-            CheckpointRecord(
-                budget=budget,
-                total_samples=self.total,
-                clusters=report_clusters(self.tracker.means),
-                counts=self.tracker.counts.copy(),
-            )
-        )
+    def step(
+        self, arms: np.ndarray, n_rounds: Optional[int] = None, collect: bool = False
+    ) -> bool:
+        """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``)
+        and ``check`` there.  False when the budget cap cut the block short.
+        With ``collect`` the block's draws are kept in ``draws``."""
+        if n_rounds is None:  # growth 1.0 checks every round
+            n_rounds = max(1, int(self.t * self.config.check_growth) - self.t)
+        got, self.draws = self.advance(arms, n_rounds, collect)
+        self.check()
+        return got == n_rounds
 
-    def flush_checkpoints(self) -> None:
-        """Assign the final clustering to checkpoints the run never reached."""
-        for budget in self._ckpts[self._next_ckpt :]:
-            self._record_checkpoint(budget)
-        self._next_ckpt = len(self._ckpts)
+    def _record_checkpoint(self, budget: int) -> None:
+        tr = self.tracker
+        self.checkpoint_records.append(
+            CheckpointRecord(budget, self.total, report_clusters(tr.means), tr.counts.copy())
+        )
 
     # -- bounds and records -------------------------------------------------
 
-    def compute_bounds(self):
-        self.tracker.refresh()
+    def check(self) -> None:
+        """Refresh the intervals and the gap bounds: ``udr``, ``udl``, their
+        max ``ud``, the lower bound ``lb`` and its ``split_size``."""
         tr = self.tracker
-        udr, udl = upper_gaps(tr.l_env, tr.r_env)
-        lb, split_size, _ = lower_max_gap(tr.l_env, tr.r_env, tr.means)
-        return udr, udl, np.maximum(udr, udl), lb, split_size
+        tr.refresh()
+        self.udr, self.udl = upper_gaps(tr.l_env, tr.r_env)
+        self.ud = np.maximum(self.udr, self.udl)
+        self.lb, self.split_size, _ = lower_max_gap(tr.l_env, tr.r_env, tr.means)
 
-    def record(self, udr, udl, ud, lb, sampled_mask, active_mask) -> None:
+    def record(self, sampled: np.ndarray, active: np.ndarray) -> None:
+        """Record the last check, the arms sampled before it and ``active``."""
         tr = self.tracker
-        r = self._rec
-        r["round"].append(self.t)
-        r["counts"].append(tr.counts.copy())
-        r["udr"].append(udr)
-        r["udl"].append(udl)
-        r["ud"].append(ud)
-        r["lb"].append(lb)
-        r["env_l"].append(tr.l_env.copy())
-        r["env_r"].append(tr.r_env.copy())
-        r["sampled"].append(sampled_mask.copy())
-        r["active"].append(active_mask.copy())
+        self._rows.append((
+            self.t, tr.counts.copy(), self.udr, self.udl, self.lb,
+            tr.l_env.copy(), tr.r_env.copy(), sampled.copy(), active.copy(),
+        ))
 
     def finish(
         self,
         algorithm: str,
         stopped_by: str,
-        clusters: tuple[tuple[int, ...], tuple[int, ...]],
+        clusters: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None,
         phase1_rounds: Optional[int] = None,
     ) -> RunTrace:
-        self.flush_checkpoints()
+        """Build the trace.  ``clusters`` defaults to the empirical split;
+        checkpoints the run never reached get the final clustering."""
+        if clusters is None:
+            clusters = report_clusters(self.tracker.means)
+        for budget in self._ckpts[self._next_ckpt :]:
+            self._record_checkpoint(budget)
+        self._next_ckpt = len(self._ckpts)
         k = self.instance.n_arms
-        r = self._rec
+        round_, counts, udr, udl, lb, env_l, env_r, sampled, active = (
+            list(zip(*self._rows)) or [()] * 9
+        )
 
-        def stack(key, dtype=float):
-            rows = r[key]
-            if not rows:
-                return np.empty((0, k), dtype=dtype)
-            return np.array(rows, dtype=dtype)
+        def stack(rows, dtype=float):
+            return np.array(rows, dtype=dtype).reshape(-1, k)
 
         return RunTrace(
             algorithm=algorithm,
             n_arms=k,
-            round_index=np.array(r["round"], dtype=np.int64),
-            counts=stack("counts", np.int64),
-            upper_right=stack("udr"),
-            upper_left=stack("udl"),
-            upper=stack("ud"),
-            lower=np.array(r["lb"], dtype=float),
-            env_l=stack("env_l"),
-            env_r=stack("env_r"),
-            sampled=stack("sampled", bool),
-            active=stack("active", bool),
+            round_index=np.array(round_, dtype=np.int64),
+            counts=stack(counts, np.int64),
+            upper_right=stack(udr),
+            upper_left=stack(udl),
+            lower=np.array(lb, dtype=float),
+            env_l=stack(env_l),
+            env_r=stack(env_r),
+            sampled=stack(sampled, bool),
+            active=stack(active, bool),
             stop_round=self.t,
             total_samples=self.total,
             stopped_by=stopped_by,
@@ -320,18 +320,68 @@ class _Run:
             final_means=np.asarray(self.tracker.means, dtype=float),
             good_event=self.tracker.contains_truth(self.instance),
             phase1_rounds=phase1_rounds,
+            degenerate_rounds=self.degenerate_rounds,
         )
 
 
-def _early_stop_holds(udr, udl, lb, means, split_size, n_arms) -> bool:
+def _bound_driven(
+    algorithm: str,
+    select: Callable[[_Run, np.ndarray], tuple[np.ndarray, Optional[str]]],
+    instance: Instance,
+    config: RunConfig,
+    rng: np.random.Generator,
+) -> RunTrace:
+    """The loop shared by the bound-driven samplers: start from every arm and
+    step to each scheduled check.  There ``select(run, sampled)`` returns the
+    set to sample next and the stop reason (None: go on)."""
+    run = _Run(instance, config, rng)
+    current = np.ones(instance.n_arms, dtype=bool)
+    while True:
+        if not run.step(np.flatnonzero(current)):
+            run.record(current, current)
+            return run.finish(algorithm, "budget")
+        nxt, stopped_by = select(run, current)
+        run.record(current, nxt)
+        if stopped_by:
+            return run.finish(algorithm, stopped_by)
+        current = nxt
+
+
+def _early_stop_holds(run: _Run) -> bool:
     """Certified-split early stop: every right-gap bound in the top group and
     every left-gap bound in the bottom group sits below the lower bound."""
-    if not lb > 0:
+    if not run.lb > 0:
         return False
-    order = np.lexsort((np.arange(n_arms), -np.asarray(means)))
-    top = order[:split_size]
-    bottom = order[split_size:]
-    return bool(np.all(udr[top] < lb) and np.all(udl[bottom] < lb))
+    order = np.lexsort((np.arange(run.instance.n_arms), -np.asarray(run.tracker.means)))
+    top = order[: run.split_size]
+    bottom = order[run.split_size :]
+    return bool(np.all(run.udr[top] < run.lb) and np.all(run.udl[bottom] < run.lb))
+
+
+def _elim_select(run: _Run, active: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
+    active = active & ~(run.ud < run.lb)  # strict: ties never eliminate
+    if run.config.elim_early_stop and _early_stop_holds(run):
+        return active, "early_rule"
+    return active, "rule" if int(active.sum()) <= 2 else None
+
+
+def _ucb_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
+    top_set = run.ud == run.ud.max()  # exact ties: shared witnesses give equal floats
+    counts = np.sort(run.tracker.counts)
+    top_two = int(counts[-2:].sum())
+    dominant = top_two >= run.config.ucb_stop_factor * (run.total - top_two)
+    return top_set, "rule" if dominant else None
+
+
+def _top2_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
+    ud = run.ud
+    top_set = ud == ud.max()
+    rest = ~top_set
+    if not rest.any():
+        run.degenerate_rounds += 1
+        return top_set, None
+    second = ud[rest].max()
+    return top_set | (rest & (ud == second)), "rule" if second < run.lb else None
 
 
 def max_gap_elim(
@@ -340,31 +390,7 @@ def max_gap_elim(
     """Eliminate arms whose gap upper bound falls below the certified lower
     bound; stop when only two arms remain (or earlier under the optional
     certified-split rule)."""
-    run = _Run(instance, config, rng)
-    k = instance.n_arms
-    active = np.ones(k, dtype=bool)
-    stopped_by = "budget"
-    while True:
-        target = _next_check(run.t, config.check_growth) - run.t
-        arms = np.flatnonzero(active)
-        got, _ = run.advance(arms, target)
-        udr, udl, ud, lb, split_size = run.compute_bounds()
-        if got < target:
-            run.record(udr, udl, ud, lb, active, active)
-            break
-        sampled_mask = active.copy()
-        active &= ~(ud < lb)  # strict: ties never eliminate
-        run.record(udr, udl, ud, lb, sampled_mask, active)
-        if config.elim_early_stop and _early_stop_holds(
-            udr, udl, lb, run.tracker.means, split_size, k
-        ):
-            stopped_by = "early_rule"
-            break
-        if int(active.sum()) <= 2:
-            stopped_by = "rule"
-            break
-    clusters = report_clusters(run.tracker.means)
-    return run.finish("maxgap-elim", stopped_by, clusters)
+    return _bound_driven("maxgap-elim", _elim_select, instance, config, rng)
 
 
 def max_gap_ucb(
@@ -372,27 +398,7 @@ def max_gap_ucb(
 ) -> RunTrace:
     """Sample every arm attaining the largest gap upper bound; stop when two
     arms' sample counts dominate the rest by ``ucb_stop_factor``."""
-    run = _Run(instance, config, rng)
-    k = instance.n_arms
-    current = np.ones(k, dtype=bool)
-    stopped_by = "budget"
-    while True:
-        target = _next_check(run.t, config.check_growth) - run.t
-        got, _ = run.advance(np.flatnonzero(current), target)
-        udr, udl, ud, lb, _ = run.compute_bounds()
-        if got < target:
-            run.record(udr, udl, ud, lb, current, current)
-            break
-        sampled_mask = current.copy()
-        current = ud == ud.max()  # exact ties: shared witnesses give equal floats
-        run.record(udr, udl, ud, lb, sampled_mask, current)
-        counts = np.sort(run.tracker.counts)
-        top_two = int(counts[-2:].sum())
-        if top_two >= config.ucb_stop_factor * (run.total - top_two):
-            stopped_by = "rule"
-            break
-    clusters = report_clusters(run.tracker.means)
-    return run.finish("maxgap-ucb", stopped_by, clusters)
+    return _bound_driven("maxgap-ucb", _ucb_select, instance, config, rng)
 
 
 def max_gap_top2_ucb(
@@ -405,37 +411,7 @@ def max_gap_top2_ucb(
     value to test: the round is degenerate (counted on the trace), only the
     top set is sampled, and the run continues.
     """
-    run = _Run(instance, config, rng)
-    k = instance.n_arms
-    current = np.ones(k, dtype=bool)
-    stopped_by = "budget"
-    degenerate_rounds = 0
-    while True:
-        target = _next_check(run.t, config.check_growth) - run.t
-        got, _ = run.advance(np.flatnonzero(current), target)
-        udr, udl, ud, lb, _ = run.compute_bounds()
-        if got < target:
-            run.record(udr, udl, ud, lb, current, current)
-            break
-        top_set = ud == ud.max()
-        rest = ~top_set
-        if rest.any():
-            second = ud[rest].max()
-            second_set = rest & (ud == second)
-        else:
-            second = -math.inf
-            second_set = np.zeros(k, dtype=bool)
-            degenerate_rounds += 1
-        sampled_mask = current.copy()
-        current = top_set | second_set
-        run.record(udr, udl, ud, lb, sampled_mask, current)
-        if rest.any() and second < lb:
-            stopped_by = "rule"
-            break
-    clusters = report_clusters(run.tracker.means)
-    trace = run.finish("maxgap-top2-ucb", stopped_by, clusters)
-    trace.degenerate_rounds = degenerate_rounds
-    return trace
+    return _bound_driven("maxgap-top2-ucb", _top2_select, instance, config, rng)
 
 
 def uniform_baseline(
@@ -452,8 +428,7 @@ def uniform_baseline(
     run.advance(arms, rounds)
     run.truncated = False  # exhausting the budget is this baseline's normal end
     run.tracker.refresh()
-    clusters = report_clusters(run.tracker.means)
-    return run.finish("uniform", "budget", clusters)
+    return run.finish("uniform", "budget")
 
 
 def naive_sort_then_bai(
@@ -471,21 +446,15 @@ def naive_sort_then_bai(
     """
     run = _Run(instance, config, rng)
     k = instance.n_arms
-    all_arms = np.arange(k)
     idx = np.arange(k)
+    ones = np.ones(k, dtype=bool)
 
     # ---- phase 1: separate all intervals ----
-    order = None
     while True:
-        target = _next_check(run.t, config.check_growth) - run.t
-        got, _ = run.advance(all_arms, target)
-        udr, udl, ud, lb, _ = run.compute_bounds()
-        ones = np.ones(k, dtype=bool)
-        run.record(udr, udl, ud, lb, ones, ones)
-        if got < target:
-            return run.finish(
-                "naive", "budget", report_clusters(run.tracker.means), run.t
-            )
+        full = run.step(idx)
+        run.record(ones, ones)
+        if not full:
+            return run.finish("naive", "budget", phase1_rounds=run.t)
         tr = run.tracker
         by_l = np.argsort(tr.l_env, kind="stable")
         if np.all(tr.r_env[by_l][:-1] < tr.l_env[by_l][1:]):
@@ -500,50 +469,36 @@ def naive_sort_then_bai(
     gap_counts = np.zeros(n_gaps, dtype=np.int64)
     gap_sums = np.zeros(n_gaps, dtype=float)
 
-    def gap_advance(gaps: np.ndarray, n_rounds: int) -> int:
+    def gap_step(gaps: np.ndarray, n_rounds: Optional[int] = None) -> bool:
         arms = np.empty(2 * gaps.size, dtype=int)
         arms[0::2] = hi[gaps]
         arms[1::2] = lo[gaps]
-        done, draws = run.advance(arms, n_rounds, collect=True)
-        if done:
-            diffs = draws[:, 0::2] - draws[:, 1::2]
-            np.add.at(gap_counts, gaps, done)
+        full = run.step(arms, n_rounds, collect=True)
+        if run.draws is not None:
+            diffs = run.draws[:, 0::2] - run.draws[:, 1::2]
+            np.add.at(gap_counts, gaps, run.draws.shape[0])
             np.add.at(gap_sums, gaps, diffs.sum(axis=0))
-        return done
+        return full
 
-    got = gap_advance(np.arange(n_gaps), 1)  # one sample of every gap
-    udr, udl, ud, lb, _ = run.compute_bounds()
-    ones = np.ones(k, dtype=bool)
-    run.record(udr, udl, ud, lb, ones, ones)
-    winner = None
-    if got == 1:
-        while True:
-            s = gap_counts.astype(float)
-            ghat = gap_sums / s
-            crad = gap_sigma * np.sqrt(2.0 * np.log(4.0 * k * s * s / config.delta) / s)
-            leader = int(np.argmax(ghat))
-            others = idx[:-1] != leader
-            best_other = float((ghat + crad)[others].max())
-            if ghat[leader] - crad[leader] > best_other:
-                winner = leader
-                break
-            challenger = int(np.flatnonzero(others)[np.argmax((ghat + crad)[others])])
-            target = _next_check(run.t, config.check_growth) - run.t
-            got = gap_advance(np.array([leader, challenger]), target)
-            udr, udl, ud, lb, _ = run.compute_bounds()
-            pair = np.zeros(k, dtype=bool)
-            pair[[hi[leader], lo[leader], hi[challenger], lo[challenger]]] = True
-            run.record(udr, udl, ud, lb, pair, pair)
-            if got < target:
-                break
-
-    if winner is None:
-        return run.finish(
-            "naive", "budget", report_clusters(run.tracker.means), phase1_rounds
-        )
-    top = tuple(sorted(int(i) for i in order[: winner + 1]))
-    bottom = tuple(sorted(int(i) for i in order[winner + 1 :]))
-    return run.finish("naive", "rule", (top, bottom), phase1_rounds)
+    full = gap_step(np.arange(n_gaps), 1)  # one sample of every gap
+    run.record(ones, ones)
+    while full:
+        s = gap_counts.astype(float)
+        ghat = gap_sums / s
+        crad = gap_sigma * np.sqrt(2.0 * np.log(4.0 * k * s * s / config.delta) / s)
+        leader = int(np.argmax(ghat))
+        others = idx[:-1] != leader
+        best_other = float((ghat + crad)[others].max())
+        if ghat[leader] - crad[leader] > best_other:
+            top = tuple(sorted(int(i) for i in order[: leader + 1]))
+            bottom = tuple(sorted(int(i) for i in order[leader + 1 :]))
+            return run.finish("naive", "rule", (top, bottom), phase1_rounds)
+        challenger = int(np.flatnonzero(others)[np.argmax((ghat + crad)[others])])
+        full = gap_step(np.array([leader, challenger]))
+        pair = np.zeros(k, dtype=bool)
+        pair[[hi[leader], lo[leader], hi[challenger], lo[challenger]]] = True
+        run.record(pair, pair)
+    return run.finish("naive", "budget", phase1_rounds=phase1_rounds)
 
 
 ALGORITHMS: dict[str, Callable[[Instance, RunConfig, np.random.Generator], RunTrace]] = {

@@ -88,11 +88,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown algorithm {name!r}; choices: {sorted(ALGORITHMS)}"
                 )
-        cps = tuple(int(c) for c in self.checkpoints)
-        if any(c <= 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be positive and strictly increasing")
-        object.__setattr__(self, "checkpoints", cps)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        # RunConfig validates the run knobs and normalises the checkpoints.
+        object.__setattr__(self, "checkpoints", self.run_config().checkpoints)
 
     def run_config(self) -> RunConfig:
         budget_cap = self.budget_cap
@@ -116,41 +114,73 @@ def log_checkpoints(lo: int, hi: int, count: int = 20) -> tuple[int, ...]:
     return tuple(int(b) for b in grid)
 
 
+# JSON type of every config key; a float key also takes an integer.
+_NUMBER = (int, float)
+_CONFIG_TYPES = {
+    "instance": str, "instance_params": dict, "sigma": _NUMBER, "algorithms": list,
+    "delta": _NUMBER, "trials": int, "seed": int, "checkpoints": list,
+    "checkpoint_range": list, "checkpoint_count": int, "budget_cap": int,
+    "ucb_stop_factor": _NUMBER, "elim_early_stop": bool, "check_growth": _NUMBER,
+    "alpha": _NUMBER, "out": (str, type(None)),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
+    """Read a JSON config.  An unknown key, a value of the wrong type or an
+    invalid value is a ``ValueError`` that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    if "checkpoint_range" in raw:
-        lo, hi = raw.pop("checkpoint_range")
-        count = raw.pop("checkpoint_count", 20)
-        raw["checkpoints"] = list(log_checkpoints(int(lo), int(hi), int(count)))
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    return ExperimentConfig(**raw)
+    for key, value in raw.items():
+        want = _CONFIG_TYPES[key]
+        if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
+            raise ValueError(f"{path}: {key} has the wrong type: {value!r}")
+    try:
+        if "checkpoint_range" in raw:
+            lo, hi = raw.pop("checkpoint_range")
+            count = raw.pop("checkpoint_count", 20)
+            raw["checkpoints"] = list(log_checkpoints(int(lo), int(hi), count))
+        return ExperimentConfig(**raw)
+    except (TypeError, ValueError) as exc:  # e.g. a list of the wrong shape
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_instance(
     name_or_path: str, params: Optional[dict] = None, sigma: float = 1.0
 ) -> Instance:
-    """Resolve a builtin instance name or a means-file path."""
+    """Resolve a builtin instance name or a means-file path.
+
+    ``params`` may hold only the keys the chosen builder takes; two-gap and
+    means files take none.
+    """
     params = dict(params or {})
-    if name_or_path == "two-gap":
-        return build_two_gap_instance()
-    if name_or_path == "one-gap":
-        return build_one_gap_instance(
-            n_arms=int(params.pop("n_arms", 24)),
-            delta_min=float(params.pop("delta_min", 0.2)),
-            delta_max=float(params.pop("delta_max", 1.0)),
+    try:
+        if name_or_path == "two-gap":
+            instance = build_two_gap_instance()
+        elif name_or_path == "one-gap":
+            instance = build_one_gap_instance(
+                n_arms=int(params.pop("n_arms", 24)),
+                delta_min=float(params.pop("delta_min", 0.2)),
+                delta_max=float(params.pop("delta_max", 1.0)),
+            )
+        elif name_or_path == "lower-bound":
+            instance = build_lower_bound_instance(
+                nu=float(params.pop("nu", 1.0)),
+                epsilon=float(params.pop("epsilon", 0.1)),
+            )
+        else:
+            instance = load_means_file(name_or_path, sigma=sigma)
+    except TypeError as exc:
+        raise ValueError(f"instance {name_or_path!r}: {exc}") from exc
+    if params:
+        raise ValueError(
+            f"instance {name_or_path!r} does not take parameters {sorted(params)}"
         )
-    if name_or_path == "lower-bound":
-        return build_lower_bound_instance(
-            nu=float(params.pop("nu", 1.0)),
-            epsilon=float(params.pop("epsilon", 0.1)),
-        )
-    return load_means_file(name_or_path, sigma=sigma)
+    return instance
 
 
 def _fmt(value) -> str:

@@ -71,19 +71,22 @@ class IntervalSnapshot:
 class GapBounds:
     """Gap bounds at one time step.
 
-    ``upper_right`` / ``upper_left`` / ``upper`` are per-arm; ``lower`` is the
-    certified global lower bound on the largest gap (may be negative when no
-    split is separated).  ``split_size`` is the number of top-group arms in
-    the maximizing split and ``lower_witness`` the (top-group arm,
-    bottom-group arm) pair attaining it.
+    ``upper_right`` / ``upper_left`` are per-arm, and ``upper`` is their max,
+    derived; ``lower`` is the certified global lower bound on the largest gap
+    (may be negative when no split is separated).  ``split_size`` is the
+    number of top-group arms in the maximizing split and ``lower_witness``
+    the (top-group arm, bottom-group arm) pair attaining it.
     """
 
     upper_right: np.ndarray
     upper_left: np.ndarray
-    upper: np.ndarray
     lower: float
     split_size: int
     lower_witness: tuple[int, int]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.maximum(self.upper_right, self.upper_left)
 
     @cached_property
     def argmax_upper(self) -> tuple[int, ...]:
@@ -216,7 +219,6 @@ def compute_gap_bounds(
     return GapBounds(
         upper_right=ud_r,
         upper_left=ud_l,
-        upper=np.maximum(ud_r, ud_l),
         lower=lower,
         split_size=split_size,
         lower_witness=witness,

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import check_elimination_monotone, check_trace_invariants
 from maxgap.algorithms import (
+    ALGORITHMS,
     RunConfig,
     max_gap_elim,
     max_gap_top2_ucb,
@@ -304,6 +305,23 @@ class TestSampleCountEnvelope:
             assert fitted <= 100.0
 
 
+DETERMINISM_CONFIG = RunConfig(
+    delta=0.1, budget_cap=60_000, checkpoints=(500, 5000), check_growth=1.01,
+    ucb_stop_factor=5.0,
+)
+
+# (stopped_by, total_samples, stop_round, final_counts, clusters,
+# degenerate_rounds) of one seed-9 run on the lower-bound instance under
+# DETERMINISM_CONFIG, recorded before the samplers shared one loop.
+PINNED_SUMMARIES = {
+    "maxgap-elim": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),
+    "maxgap-ucb": ("budget", 60000, 20197, [853, 20197, 19475, 19475], ((0, 1), (2, 3)), 0),
+    "maxgap-top2-ucb": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 130),
+    "uniform": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),
+    "naive": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),
+}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "algorithm",
@@ -311,15 +329,24 @@ class TestDeterminism:
     )
     def test_identical_seed_identical_trace(self, algorithm):
         inst = build_lower_bound_instance(1.0, 0.1)
-        cfg = RunConfig(
-            delta=0.1, budget_cap=60_000, checkpoints=(500, 5000), check_growth=1.01,
-            ucb_stop_factor=5.0,
-        )
+        cfg = DETERMINISM_CONFIG
         a = algorithm(inst, cfg, np.random.default_rng(9))
         b = algorithm(inst, cfg, np.random.default_rng(9))
         assert a.fingerprint() == b.fingerprint()
         assert a.clusters == b.clusters
         assert np.array_equal(a.final_counts, b.final_counts)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_pinned_summary(self, name):
+        # Integers and index tuples only: float bytes could move by an ulp
+        # with the platform's libm.
+        inst = build_lower_bound_instance(1.0, 0.1)
+        t = ALGORITHMS[name](inst, DETERMINISM_CONFIG, np.random.default_rng(9))
+        summary = (
+            t.stopped_by, t.total_samples, t.stop_round, t.final_counts.tolist(),
+            t.clusters, t.degenerate_rounds,
+        )
+        assert summary == PINNED_SUMMARIES[name]
 
     def test_different_seeds_differ(self):
         inst = build_lower_bound_instance(1.0, 0.1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ class TestConfig:
             ExperimentConfig(algorithms=("nope",))
         with pytest.raises(ValueError):
             ExperimentConfig(checkpoints=(5, 5))
+
+    @pytest.mark.parametrize(
+        "bad", [{"delta": 1.5}, {"check_growth": 0.5}, {"ucb_stop_factor": 0.0}]
+    )
+    def test_run_knobs_checked_at_load(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
     def test_load_config_with_checkpoint_range(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -76,6 +84,22 @@ class TestBuildInstance:
         p.write_text("0.0\n1.0\n3.0\n")
         inst = build_instance(str(p), sigma=0.5)
         assert inst.n_arms == 3 and inst.sigmas[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "name, params, unused",
+        [
+            ("one-gap", {"n_arm": 30}, ["n_arm"]),
+            ("one-gap", {"n_arms": 6, "epsilon": 0.1}, ["epsilon"]),
+            ("lower-bound", {"n_arms": 4}, ["n_arms"]),
+            ("two-gap", {"n_arms": 24}, ["n_arms"]),
+            ("m.txt", {"nu": 1.0, "sigma": 0.5}, ["nu", "sigma"]),
+        ],
+    )
+    def test_rejects_unused_params(self, tmp_path, monkeypatch, name, params, unused):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("0.0\n1.0\n3.0\n")
+        with pytest.raises(ValueError, match=re.escape(str(unused))):
+            build_instance(name, params)
 
 
 class TestRunExperiment:
@@ -263,6 +287,28 @@ class TestCliRun:
         rows = read_csv(out)
         assert {r["kind"] for r in rows} >= {"anytime", "aggregate"}
         assert all(r["seed"] in ("9", "10", "") for r in rows)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"checkpoint_range": 5}, "bad.json"),
+            ({"trials": "3"}, "bad.json"),
+            ({"seed": "3"}, "bad.json"),
+            ({"budget_cap": "5000"}, "bad.json"),
+            ({"elim_early_stop": "no"}, "bad.json"),
+            ({"checkpoints": [[100]]}, "bad.json"),
+            ({"instance": "one-gap", "instance_params": {"n_arm": 30}}, "n_arm"),
+            ({"instance": "one-gap", "instance_params": {"n_arms": [30]}}, "one-gap"),
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, bad, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"algorithms": ["uniform"], "budget_cap": 5000} | bad))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("maxgap: error:") and named in err
 
     def test_streetview_scale_means_file(self, tmp_path):
         p = tmp_path / "sv.txt"
