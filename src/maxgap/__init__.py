@@ -23,7 +23,6 @@ from .confidence import (
     ArmStats,
     IntervalState,
     IntervalTracker,
-    good_event_holds,
     radius,
     update,
 )
@@ -37,13 +36,10 @@ from .env import (
     load_means_file,
     sample,
     sample_block,
-    true_gaps,
 )
 from .gapbounds import (
-    GapBounds,
     IntervalSnapshot,
     brute_force_upper_gap,
-    compute_gap_bounds,
     left_anchor_gap,
     lower_max_gap,
     right_anchor_gap,
@@ -66,7 +62,6 @@ __all__ = [
     "ArmSpec",
     "ArmStats",
     "CheckpointRecord",
-    "GapBounds",
     "HardnessReport",
     "Instance",
     "InstanceError",
@@ -79,9 +74,7 @@ __all__ = [
     "build_one_gap_instance",
     "build_two_gap_instance",
     "brute_force_upper_gap",
-    "compute_gap_bounds",
     "gamma",
-    "good_event_holds",
     "hardness_report",
     "left_anchor_gap",
     "load_means_file",
@@ -94,10 +87,10 @@ __all__ = [
     "predicted_complexity",
     "radius",
     "report_clusters",
+    "rho",
     "right_anchor_gap",
     "sample",
     "sample_block",
-    "true_gaps",
     "uniform_baseline",
     "update",
     "upper_gap",

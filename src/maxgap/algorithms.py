@@ -30,6 +30,7 @@ identical seeds give identical traces.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +52,14 @@ __all__ = [
     "naive_sort_then_bai",
     "ALGORITHMS",
 ]
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ``ValueError``
+    that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,8 @@ class RunConfig:
             raise ValueError("ucb_stop_factor must be positive")
         if self.check_growth < 1.0:
             raise ValueError("check_growth must be >= 1.0")
-        cps = tuple(int(c) for c in self.checkpoints)
+        cps = tuple(_require_int("checkpoints", c) for c in self.checkpoints)
+        _require_int("budget_cap", self.budget_cap)
         if any(c <= 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be positive and strictly increasing")
         object.__setattr__(self, "checkpoints", cps)
@@ -485,7 +495,7 @@ def naive_sort_then_bai(
     while full:
         s = gap_counts.astype(float)
         ghat = gap_sums / s
-        crad = gap_sigma * np.sqrt(2.0 * np.log(4.0 * k * s * s / config.delta) / s)
+        crad = run.tracker.radius(s, gap_sigma)
         leader = int(np.argmax(ghat))
         others = idx[:-1] != leader
         best_other = float((ghat + crad)[others].max())

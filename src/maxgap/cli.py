@@ -29,7 +29,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig
+from .algorithms import ALGORITHMS, RunConfig, _require_int
 from .env import (
     Instance,
     build_lower_bound_instance,
@@ -50,8 +50,6 @@ __all__ = [
     "write_hardness_report",
     "main",
 ]
-
-BUILTIN_INSTANCES = ("two-gap", "one-gap", "lower-bound")
 
 RESULT_COLUMNS = (
     "kind", "algorithm", "trial", "seed", "budget", "total_samples",
@@ -81,6 +79,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "budget_cap"):
+            _require_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for name in self.algorithms:
@@ -139,11 +139,12 @@ def load_config(path: str) -> ExperimentConfig:
         want = _CONFIG_TYPES[key]
         if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
             raise ValueError(f"{path}: {key} has the wrong type: {value!r}")
+    if "checkpoint_count" in raw and "checkpoint_range" not in raw:
+        raise ValueError(f"{path}: checkpoint_count needs a checkpoint_range")
     try:
         if "checkpoint_range" in raw:
-            lo, hi = raw.pop("checkpoint_range")
-            count = raw.pop("checkpoint_count", 20)
-            raw["checkpoints"] = list(log_checkpoints(int(lo), int(hi), count))
+            lo, hi = (_require_int("checkpoint_range", b) for b in raw.pop("checkpoint_range"))
+            raw["checkpoints"] = list(log_checkpoints(lo, hi, raw.pop("checkpoint_count", 20)))
         return ExperimentConfig(**raw)
     except (TypeError, ValueError) as exc:  # e.g. a list of the wrong shape
         raise ValueError(f"{path}: {exc}") from exc
@@ -158,19 +159,25 @@ def build_instance(
     means files take none.
     """
     params = dict(params or {})
+
+    def take(key: str, kind: type, default):
+        try:
+            return kind(params.pop(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"instance {name_or_path!r}: {key}: {exc}") from exc
+
     try:
         if name_or_path == "two-gap":
             instance = build_two_gap_instance()
         elif name_or_path == "one-gap":
             instance = build_one_gap_instance(
-                n_arms=int(params.pop("n_arms", 24)),
-                delta_min=float(params.pop("delta_min", 0.2)),
-                delta_max=float(params.pop("delta_max", 1.0)),
+                n_arms=take("n_arms", int, 24),
+                delta_min=take("delta_min", float, 0.2),
+                delta_max=take("delta_max", float, 1.0),
             )
         elif name_or_path == "lower-bound":
             instance = build_lower_bound_instance(
-                nu=float(params.pop("nu", 1.0)),
-                epsilon=float(params.pop("epsilon", 0.1)),
+                nu=take("nu", float, 1.0), epsilon=take("epsilon", float, 0.1)
             )
         else:
             instance = load_means_file(name_or_path, sigma=sigma)
@@ -387,59 +394,39 @@ def _fmt_inf(x: float) -> str:
     return "inf" if math.isinf(x) else f"{x:.4f}"
 
 
+# Per-arm hardness columns and the report fields they show.
+_HARDNESS_FIELDS = {
+    "gamma_r": "gamma_right", "gamma_l": "gamma_left", "gamma": "gamma",
+    "rho_r": "rho_right", "rho_l": "rho_left", "rho": "rho", "naive_gamma": "naive_gamma",
+}
+HARDNESS_COLUMNS = ("arm", "mean", *_HARDNESS_FIELDS, "h_main", "h_elim", "h_ucb")
+
+
+def _hardness_rows(instance: Instance, report: HardnessReport) -> list[dict]:
+    """One row per arm with every ``HARDNESS_COLUMNS`` entry."""
+    sums = {"h_main": report.h_main, "h_elim": report.h_elim, "h_ucb": report.h_ucb}
+    return [
+        {"arm": a + 1, "mean": float(instance.means[a])}
+        | {col: float(getattr(report, f)[a]) for col, f in _HARDNESS_FIELDS.items()}
+        | sums
+        for a in range(instance.n_arms)
+    ]
+
+
 def write_hardness_report(
     instance: Instance, report: HardnessReport, out=None
 ) -> None:
     """Human-readable hardness table plus the predicted complexity sums."""
     out = out if out is not None else sys.stdout
-    cols = ("arm", "mean", "gamma_r", "gamma_l", "gamma", "rho_r", "rho_l", "rho", "naive")
-    out.write(("{:>5} {:>10} " + " ".join(["{:>9}"] * 7)).format(*cols) + "\n")
-    for a in range(instance.n_arms):
-        out.write(
-            "{:>5} {:>10.4f} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n".format(
-                a + 1,
-                instance.means[a],
-                _fmt_inf(report.gamma_right[a]),
-                _fmt_inf(report.gamma_left[a]),
-                _fmt_inf(report.gamma[a]),
-                _fmt_inf(report.rho_right[a]),
-                _fmt_inf(report.rho_left[a]),
-                _fmt_inf(report.rho[a]),
-                _fmt_inf(report.naive_gamma[a]),
-            )
-        )
+    labels = [col.removesuffix("_gamma") for col in _HARDNESS_FIELDS]  # the table says "naive"
+    out.write(f"{'arm':>5} {'mean':>10} " + " ".join(f"{c:>9}" for c in labels) + "\n")
+    for row in _hardness_rows(instance, report):
+        cells = " ".join(f"{_fmt_inf(row[col]):>9}" for col in _HARDNESS_FIELDS)
+        out.write(f"{row['arm']:>5} {row['mean']:>10.4f} {cells}\n")
     out.write(
         f"H_main={report.h_main!r} H_elim={report.h_elim!r} H_ucb={report.h_ucb!r} "
         f"(delta={report.delta!r}, alpha={report.alpha!r})\n"
     )
-
-
-def _hardness_csv_rows(instance: Instance, report: HardnessReport) -> list[dict]:
-    rows = []
-    for a in range(instance.n_arms):
-        rows.append(
-            {
-                "arm": a + 1,
-                "mean": float(instance.means[a]),
-                "gamma_r": float(report.gamma_right[a]),
-                "gamma_l": float(report.gamma_left[a]),
-                "gamma": float(report.gamma[a]),
-                "rho_r": float(report.rho_right[a]),
-                "rho_l": float(report.rho_left[a]),
-                "rho": float(report.rho[a]),
-                "naive_gamma": float(report.naive_gamma[a]),
-                "h_main": float(report.h_main),
-                "h_elim": float(report.h_elim),
-                "h_ucb": float(report.h_ucb),
-            }
-        )
-    return rows
-
-
-HARDNESS_COLUMNS = (
-    "arm", "mean", "gamma_r", "gamma_l", "gamma", "rho_r", "rho_l", "rho",
-    "naive_gamma", "h_main", "h_elim", "h_ucb",
-)
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -527,7 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             write_hardness_report(instance, report)
             if config.out:
                 with _open_out(config.out) as fh:
-                    _write_csv(fh, HARDNESS_COLUMNS, _hardness_csv_rows(instance, report))
+                    _write_csv(fh, HARDNESS_COLUMNS, _hardness_rows(instance, report))
     except (ValueError, OSError) as exc:
         parser.exit(2, f"maxgap: error: {exc}\n")
     return 0

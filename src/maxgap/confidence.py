@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "ArmStats",
     "IntervalState",
     "update",
-    "good_event_holds",
     "IntervalTracker",
 ]
 
@@ -39,7 +37,8 @@ def radius(count: int, n_arms: int, delta: float, sigma: float) -> float:
 
     Scales linearly in sigma; strictly decreasing in the count over the
     relevant range and vanishing as count grows.  The count must be >= 1
-    (no interval exists before the first sample).
+    (no interval exists before the first sample).  This checked scalar form
+    is the reference that ``IntervalTracker.radius`` is tested against.
     """
     if count < 1:
         raise ValueError(f"interval undefined before the first sample (count={count})")
@@ -95,28 +94,6 @@ def update(
     )
 
 
-def good_event_holds(
-    instance: Instance,
-    interval_states: Sequence[IntervalState],
-    use_envelope: bool = False,
-) -> bool:
-    """True iff every arm's true mean lies inside its current interval.
-
-    A diagnostic that peeks at ground truth.  With ``use_envelope`` the check
-    runs against the monotone envelopes, which is equivalent to the raw
-    intervals having contained the mean at every past update.
-    """
-    if len(interval_states) != instance.n_arms:
-        raise ValueError("one interval state per arm required")
-    for mu, st in zip(instance.means, interval_states):
-        lo, hi = (st.l_env, st.r_env) if use_envelope else (st.l, st.r)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("arm has no interval yet (unsampled)")
-        if not lo <= mu <= hi:
-            return False
-    return True
-
-
 class IntervalTracker:
     """Vectorized counts, sums, and intervals for all arms of one run.
 
@@ -152,32 +129,29 @@ class IntervalTracker:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.counts > 0, self.sums / self.counts, np.nan)
 
+    def radius(self, counts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+        """Elementwise ``radius`` at this run's K and delta.
+
+        The formula every run uses; unchecked, so every count must be >= 1.
+        """
+        return sigmas * np.sqrt(
+            2.0 * np.log(4.0 * self.n_arms * counts * counts / self.delta) / counts
+        )
+
     def refresh(self) -> None:
         sampled = self.counts > 0
         s = self.counts[sampled].astype(float)
-        c = self.sigmas[sampled] * np.sqrt(
-            2.0 * np.log(4.0 * self.n_arms * s * s / self.delta) / s
-        )
+        c = self.radius(s, self.sigmas[sampled])
         mean = self.sums[sampled] / s
         self.l_raw[sampled] = mean - c
         self.r_raw[sampled] = mean + c
         np.maximum(self.l_env, self.l_raw, out=self.l_env)
         np.minimum(self.r_env, self.r_raw, out=self.r_env)
 
-    def states(self) -> list[IntervalState]:
-        return [
-            IntervalState(
-                l=float(self.l_raw[a]),
-                r=float(self.r_raw[a]),
-                l_env=float(self.l_env[a]),
-                r_env=float(self.r_env[a]),
-            )
-            for a in range(self.n_arms)
-        ]
-
     def contains_truth(self, instance: Instance) -> bool:
-        """Envelope containment of all true means; equivalent to the raw
-        intervals having covered the truth at every refresh so far."""
+        """The good event: every true mean lies inside its envelope, which is
+        equivalent to the raw intervals having covered the truth at every
+        refresh so far.  A diagnostic that peeks at ground truth."""
         return bool(
             np.all((self.l_env <= instance.means) & (instance.means <= self.r_env))
         )

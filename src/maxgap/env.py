@@ -23,7 +23,6 @@ __all__ = [
     "InstanceError",
     "sample",
     "sample_block",
-    "true_gaps",
     "build_two_gap_instance",
     "build_one_gap_instance",
     "build_lower_bound_instance",
@@ -140,16 +139,6 @@ class Instance:
     @cached_property
     def bottom_cluster(self) -> tuple[int, ...]:
         return tuple(sorted(int(i) for i in self.sorted_order[self.split_rank :]))
-
-
-def true_gaps(instance: Instance):
-    """Ground-truth gap summary: (per-arm gaps, delta_max, split rank, clusters)."""
-    return (
-        instance.gaps.copy(),
-        instance.delta_max,
-        instance.split_rank,
-        (instance.top_cluster, instance.bottom_cluster),
-    )
 
 
 def sample(instance: Instance, arm_index: int, rng: np.random.Generator) -> float:

@@ -26,19 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "IntervalSnapshot",
-    "GapBounds",
     "right_anchor_gap",
     "left_anchor_gap",
     "upper_gap",
     "upper_gaps",
     "lower_max_gap",
-    "compute_gap_bounds",
     "brute_force_upper_gap",
 ]
 
@@ -65,33 +62,6 @@ class IntervalSnapshot:
     @property
     def n_arms(self) -> int:
         return self.l.size
-
-
-@dataclass(frozen=True)
-class GapBounds:
-    """Gap bounds at one time step.
-
-    ``upper_right`` / ``upper_left`` are per-arm, and ``upper`` is their max,
-    derived; ``lower`` is the certified global lower bound on the largest gap
-    (may be negative when no split is separated).  ``split_size`` is the
-    number of top-group arms in the maximizing split and ``lower_witness``
-    the (top-group arm, bottom-group arm) pair attaining it.
-    """
-
-    upper_right: np.ndarray
-    upper_left: np.ndarray
-    lower: float
-    split_size: int
-    lower_witness: tuple[int, int]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.maximum(self.upper_right, self.upper_left)
-
-    @cached_property
-    def argmax_upper(self) -> tuple[int, ...]:
-        top = self.upper.max()
-        return tuple(int(i) for i in np.flatnonzero(self.upper == top))
 
 
 def right_anchor_gap(a: int, x: float, snapshot: IntervalSnapshot) -> float:
@@ -208,21 +178,6 @@ def lower_max_gap(
     bot_rel = np.argmax(r_ord[split + 1 :])
     bot_w = int(order[split + 1 + bot_rel])
     return bound, split + 1, (top_w, bot_w)
-
-
-def compute_gap_bounds(
-    snapshot: IntervalSnapshot, empirical_means: np.ndarray
-) -> GapBounds:
-    """Bundle per-arm upper bounds and the global lower bound with witnesses."""
-    ud_r, ud_l = upper_gaps(snapshot.l, snapshot.r)
-    lower, split_size, witness = lower_max_gap(snapshot.l, snapshot.r, empirical_means)
-    return GapBounds(
-        upper_right=ud_r,
-        upper_left=ud_l,
-        lower=lower,
-        split_size=split_size,
-        lower_witness=witness,
-    )
 
 
 def _endpoint_candidates(l: np.ndarray, r: np.ndarray) -> list[np.ndarray]:

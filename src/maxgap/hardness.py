@@ -101,30 +101,30 @@ def _apply_sentinel(v: np.ndarray, instance: Instance) -> np.ndarray:
     return out
 
 
-def gamma(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(right, left, combined) adaptive hardness per arm."""
+def _helper_hardness(instance: Instance) -> tuple[np.ndarray, ...]:
+    """One pass per side over min(d, delta_max - d) on 0 < d < delta_max:
+    (gamma_r, gamma_l, gamma, naive_gamma), the best and the worst helper."""
     dmax = instance.delta_max
-    out = []
+    best, worst = [], []
     for right in (True, False):
         d = _side_values(instance, right)
         d[d >= dmax] = np.nan  # domain is 0 < d < delta_max
-        out.append(_max_or_inf(np.minimum(d, dmax - d)))
-    g_r, g_l = out
-    return g_r, g_l, _apply_sentinel(np.minimum(g_r, g_l), instance)
+        vals = np.minimum(d, dmax - d)
+        best.append(_max_or_inf(vals))
+        worst.append(np.where(np.isnan(vals), np.inf, vals).min(axis=1))  # empty: inf
+    g_r, g_l = best
+    g = _apply_sentinel(np.minimum(g_r, g_l), instance)
+    return g_r, g_l, g, _apply_sentinel(np.minimum(*worst), instance)
+
+
+def gamma(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(right, left, combined) adaptive hardness per arm."""
+    return _helper_hardness(instance)[:3]
 
 
 def naive_gamma(instance: Instance) -> np.ndarray:
     """Combined naive hardness per arm (worst helper on each side)."""
-    dmax = instance.delta_max
-    out = []
-    for right in (True, False):
-        d = _side_values(instance, right)
-        d[d >= dmax] = np.nan
-        vals = np.minimum(d, dmax - d)
-        empty = np.all(np.isnan(vals), axis=1)
-        filled = np.where(np.isnan(vals), np.inf, vals)
-        out.append(np.where(empty, np.inf, filled.min(axis=1)))
-    return _apply_sentinel(np.minimum(out[0], out[1]), instance)
+    return _helper_hardness(instance)[3]
 
 
 def rho(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,9 +179,8 @@ def hardness_report(instance: Instance, delta: float, alpha: float = 1.0) -> Har
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
-    g_r, g_l, g = gamma(instance)
+    g_r, g_l, g, ng = _helper_hardness(instance)
     r_r, r_l, r = rho(instance)
-    ng = naive_gamma(instance)
     h_main, h_elim, h_ucb = predicted_complexity(g, r, instance.n_arms, delta, alpha)
     return HardnessReport(
         gamma_right=g_r,

@@ -39,6 +39,19 @@ class TestRunConfig:
             RunConfig(check_growth=0.5)
         with pytest.raises(ValueError):
             RunConfig(ucb_stop_factor=0.0)
+        numpy_ints = RunConfig(budget_cap=np.int64(5000), checkpoints=(np.int64(100),))
+        assert numpy_ints.checkpoints == (100,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget_cap", 5e4), ("budget_cap", True),
+            ("checkpoints", (1000.7, 5000)), ("checkpoints", (False, 5000)),
+        ],
+    )
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
 
     def test_budget_cap_must_cover_one_round(self):
         inst = noiseless_013()

@@ -37,6 +37,18 @@ class TestConfig:
             ExperimentConfig(checkpoints=(5, 5))
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", False),
+            ("budget_cap", 5e4), ("budget_cap", True),
+            ("checkpoints", (1000.7, 5000)), ("checkpoints", (True, 5000)),
+        ],
+    )
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "bad", [{"delta": 1.5}, {"check_growth": 0.5}, {"ucb_stop_factor": 0.0}]
     )
     def test_run_knobs_checked_at_load(self, bad):
@@ -299,6 +311,9 @@ class TestCliRun:
             ({"checkpoints": [[100]]}, "bad.json"),
             ({"instance": "one-gap", "instance_params": {"n_arm": 30}}, "n_arm"),
             ({"instance": "one-gap", "instance_params": {"n_arms": [30]}}, "one-gap"),
+            ({"instance": "one-gap", "instance_params": {"n_arms": "x"}}, "'one-gap': n_arms"),
+            ({"checkpoint_range": [1000.7, 5000]}, "checkpoint_range"),
+            ({"checkpoint_count": 5}, "checkpoint_count"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, bad, named):

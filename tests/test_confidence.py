@@ -9,7 +9,6 @@ from maxgap.confidence import (
     ArmStats,
     IntervalState,
     IntervalTracker,
-    good_event_holds,
     radius,
     update,
 )
@@ -46,6 +45,16 @@ class TestRadius:
         # radius(s) * sqrt(s) / sigma is the sqrt-log factor, nondecreasing in s
         vals = [radius(s, 4, 0.1, 1.0) * math.sqrt(s) for s in range(1, 500)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("k", [3, 24, 90])
+    @pytest.mark.parametrize("delta", [0.1, 1e-6])
+    def test_tracker_radius_matches_scalar(self, k, delta):
+        counts = np.unique(np.rint(np.logspace(0, 9, 400)))
+        sigmas = np.resize([0.0, 0.05, 1.0, 2.5], counts.size)
+        got = IntervalTracker(k, np.ones(k), delta).radius(counts, sigmas)
+        want = [radius(int(s), k, delta, sig) for s, sig in zip(counts, sigmas)]
+        assert counts[0] == 1 and counts[-1] == 1e9
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -99,14 +108,13 @@ class TestUpdate:
             tracker.add(np.array([arm]), np.array([[x]]))
             tracker.refresh()
             stats[arm], states[arm] = update(stats[arm], states[arm], x, k, 0.2, 1.3)
-        got = tracker.states()
         for a in range(k):
             if stats[a].count == 0:
                 continue
-            assert got[a].l == pytest.approx(states[a].l, abs=1e-12)
-            assert got[a].r == pytest.approx(states[a].r, abs=1e-12)
-            assert got[a].l_env == pytest.approx(states[a].l_env, abs=1e-12)
-            assert got[a].r_env == pytest.approx(states[a].r_env, abs=1e-12)
+            assert tracker.l_raw[a] == pytest.approx(states[a].l, abs=1e-12)
+            assert tracker.r_raw[a] == pytest.approx(states[a].r, abs=1e-12)
+            assert tracker.l_env[a] == pytest.approx(states[a].l_env, abs=1e-12)
+            assert tracker.r_env[a] == pytest.approx(states[a].r_env, abs=1e-12)
 
 
 class TestCoverage:
@@ -127,22 +135,20 @@ class TestCoverage:
         tracker = IntervalTracker(3, inst.sigmas, 0.1)
         tracker.add(np.arange(3), inst.means[None, :])
         tracker.refresh()
-        assert good_event_holds(inst, tracker.states())
-        assert good_event_holds(inst, tracker.states(), use_envelope=True)
+        assert tracker.contains_truth(inst)
 
     def test_good_event_detects_escape(self):
         inst = Instance(tuple(ArmSpec(m, 1.0) for m in [0.0, 1.0, 3.0]))
-        states = [
-            IntervalState(l=-1.0, r=1.0, l_env=-1.0, r_env=1.0),
-            IntervalState(l=0.5, r=0.6, l_env=0.5, r_env=0.6),  # misses mean 1.0
-            IntervalState(l=2.0, r=4.0, l_env=2.0, r_env=4.0),
-        ]
-        assert not good_event_holds(inst, states)
-
-    def test_good_event_requires_samples(self):
-        inst = Instance(tuple(ArmSpec(m, 1.0) for m in [0.0, 1.0, 3.0]))
-        with pytest.raises(ValueError):
-            good_event_holds(inst, [IntervalState()] * 3)
+        tracker = IntervalTracker(3, inst.sigmas, 0.1)
+        tracker.add(np.arange(3), np.tile(inst.means, (10_000, 1)))
+        tracker.refresh()
+        assert tracker.contains_truth(inst)
+        # arm 1's empirical mean pushed to 0.5: its interval (radius ~0.05)
+        # misses the true mean 1.0
+        tracker.add(np.array([1]), np.full((10_000, 1), 0.0))
+        tracker.refresh()
+        assert tracker.l_raw[1] < 1.0 and tracker.r_raw[1] < 1.0
+        assert not tracker.contains_truth(inst)
 
     def test_good_event_rate_over_runs(self):
         # envelope containment at the end of a run is equivalent to raw

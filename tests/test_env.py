@@ -15,7 +15,6 @@ from maxgap.env import (
     load_means_file,
     sample,
     sample_block,
-    true_gaps,
 )
 
 
@@ -45,13 +44,12 @@ class TestInstanceBasics:
     def test_three_point_gaps(self):
         # means [0, 1, 3]: the middle arm's gap is max{1, 2} = 2
         inst = make_instance([0.0, 1.0, 3.0])
-        gaps, dmax, m, (c1, c2) = true_gaps(inst)
-        assert gaps[1] == 2.0
-        assert gaps[0] == 1.0  # bottom arm: single right-side gap
-        assert gaps[2] == 2.0  # top arm: single left-side gap
-        assert dmax == 2.0
-        assert m == 1
-        assert c1 == (2,) and c2 == (0, 1)
+        assert inst.gaps[1] == 2.0
+        assert inst.gaps[0] == 1.0  # bottom arm: single right-side gap
+        assert inst.gaps[2] == 2.0  # top arm: single left-side gap
+        assert inst.delta_max == 2.0
+        assert inst.split_rank == 1
+        assert inst.top_cluster == (2,) and inst.bottom_cluster == (0, 1)
 
     def test_extreme_arm_takes_single_finite_gap(self):
         inst = make_instance([0.0, 0.5, 2.0, 2.2])

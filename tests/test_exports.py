@@ -1,0 +1,29 @@
+"""The package's public names: every export resolves, and ``maxgap.__all__``
+is exactly the union of its submodules' ``__all__`` lists."""
+
+import importlib
+import pkgutil
+
+import maxgap
+
+# The command line harness is imported as ``maxgap.cli``, not re-exported.
+NOT_REEXPORTED = {"cli"}
+
+
+def submodules():
+    names = sorted(m.name for m in pkgutil.iter_modules(maxgap.__path__))
+    return [importlib.import_module(f"maxgap.{n}") for n in names if n not in NOT_REEXPORTED]
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from maxgap import *", namespace)  # raises on a stale name
+    assert set(maxgap.__all__) <= set(namespace)
+    for mod in submodules():
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
+
+
+def test_all_is_union_of_submodule_exports():
+    union = set().union(*(mod.__all__ for mod in submodules()))
+    assert len(set(maxgap.__all__)) == len(maxgap.__all__)
+    assert sorted(maxgap.__all__) == sorted(union)
