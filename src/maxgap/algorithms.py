@@ -30,6 +30,7 @@ identical seeds give identical traces.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .confidence import IntervalTracker
-from .env import Instance, sample_block
+from .env import Instance, _descending_order, _split_order, sample_block
 from .gapbounds import lower_max_gap, upper_gaps
 
 __all__ = [
@@ -84,10 +85,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.ucb_stop_factor <= 0:
-            raise ValueError("ucb_stop_factor must be positive")
-        if self.check_growth < 1.0:
-            raise ValueError("check_growth must be >= 1.0")
+        # NaN fails these chained comparisons, so it is rejected too.
+        if not 0.0 < self.ucb_stop_factor < math.inf:
+            raise ValueError(
+                f"ucb_stop_factor must be finite and positive, got {self.ucb_stop_factor}"
+            )
+        if not 1.0 <= self.check_growth < math.inf:
+            raise ValueError(f"check_growth must be finite and >= 1, got {self.check_growth}")
         cps = tuple(_require_int("checkpoints", c) for c in self.checkpoints)
         _require_int("budget_cap", self.budget_cap)
         if any(c <= 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -181,13 +185,11 @@ def report_clusters(
         raise ValueError("need a 1-d vector of at least 2 empirical means")
     if not np.all(np.isfinite(means)):
         raise ValueError("every arm needs at least one sample before clustering")
-    order = np.lexsort((np.arange(means.size), -means))
+    order = _descending_order(means)
     s = means[order]
     gaps = s[:-1] - s[1:]
     split = int(np.argmax(gaps))  # first max -> smallest top cluster
-    top = tuple(sorted(int(i) for i in order[: split + 1]))
-    bottom = tuple(sorted(int(i) for i in order[split + 1 :]))
-    return top, bottom
+    return _split_order(order, split + 1)
 
 
 class _Run:
@@ -212,17 +214,15 @@ class _Run:
 
     # -- sampling ---------------------------------------------------------
 
-    def advance(
-        self, arms: np.ndarray, n_rounds: int, collect: bool = False
-    ) -> tuple[int, Optional[np.ndarray]]:
+    def advance(self, arms: np.ndarray, n_rounds: int) -> tuple[int, np.ndarray]:
         """Sample ``arms`` for up to ``n_rounds`` rounds.
 
-        Splits internally at checkpoint crossings and at the budget cap.
-        Returns (rounds actually run, stacked draws if ``collect``).
+        Splits at checkpoint crossings and at the budget cap.  Returns (rounds
+        run, each column's sum of draws): no draw outlives this call.
         """
         m = arms.size
         done = 0
-        chunks: list[np.ndarray] = [] if collect else None
+        sums = np.zeros(m)
         while done < n_rounds:
             cap_rounds = (self.config.budget_cap - self.total) // m
             if cap_rounds <= 0:
@@ -233,10 +233,9 @@ class _Run:
                 need = self._ckpts[self._next_ckpt] - self.total
                 if need > 0:
                     step = min(step, -(-need // m))
-            draws = sample_block(self.instance, arms, step, self.rng)
-            self.tracker.add(arms, draws)
-            if collect:
-                chunks.append(draws)
+            chunk = sample_block(self.instance, arms, step, self.rng).sum(axis=0)
+            self.tracker.add(arms, step, chunk)
+            sums += chunk
             self.t += step
             self.total += step * m
             done += step
@@ -246,20 +245,19 @@ class _Run:
             ):
                 self._record_checkpoint(self._ckpts[self._next_ckpt])
                 self._next_ckpt += 1
-        out = np.concatenate(chunks, axis=0) if collect and chunks else None
-        return done, out
+        return done, sums
 
-    def step(
-        self, arms: np.ndarray, n_rounds: Optional[int] = None, collect: bool = False
-    ) -> bool:
-        """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``)
-        and ``check`` there.  False when the budget cap cut the block short.
-        With ``collect`` the block's draws are kept in ``draws``."""
+    def step(self, arms: np.ndarray, n_rounds: Optional[int] = None) -> bool:
+        """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``),
+        keeping ``sampled`` (their mask), ``block_rounds`` and ``block_sums``,
+        and ``check`` there.  False when the budget cap cut the block short."""
         if n_rounds is None:  # growth 1.0 checks every round
             n_rounds = max(1, int(self.t * self.config.check_growth) - self.t)
-        got, self.draws = self.advance(arms, n_rounds, collect)
+        self.block_rounds, self.block_sums = self.advance(arms, n_rounds)
+        self.sampled = np.zeros(self.instance.n_arms, dtype=bool)
+        self.sampled[arms] = True
         self.check()
-        return got == n_rounds
+        return self.block_rounds == n_rounds
 
     def _record_checkpoint(self, budget: int) -> None:
         tr = self.tracker
@@ -278,12 +276,13 @@ class _Run:
         self.ud = np.maximum(self.udr, self.udl)
         self.lb, self.split_size, _ = lower_max_gap(tr.l_env, tr.r_env, tr.means)
 
-    def record(self, sampled: np.ndarray, active: np.ndarray) -> None:
-        """Record the last check, the arms sampled before it and ``active``."""
+    def record(self, active: Optional[np.ndarray] = None) -> None:
+        """Record the last check, ``sampled`` and ``active`` (default ``sampled``)."""
         tr = self.tracker
         self._rows.append((
             self.t, tr.counts.copy(), self.udr, self.udl, self.lb,
-            tr.l_env.copy(), tr.r_env.copy(), sampled.copy(), active.copy(),
+            tr.l_env.copy(), tr.r_env.copy(), self.sampled,
+            self.sampled if active is None else active.copy(),
         ))
 
     def finish(
@@ -348,10 +347,10 @@ def _bound_driven(
     current = np.ones(instance.n_arms, dtype=bool)
     while True:
         if not run.step(np.flatnonzero(current)):
-            run.record(current, current)
+            run.record()
             return run.finish(algorithm, "budget")
         nxt, stopped_by = select(run, current)
-        run.record(current, nxt)
+        run.record(nxt)
         if stopped_by:
             return run.finish(algorithm, stopped_by)
         current = nxt
@@ -362,7 +361,7 @@ def _early_stop_holds(run: _Run) -> bool:
     every left-gap bound in the bottom group sits below the lower bound."""
     if not run.lb > 0:
         return False
-    order = np.lexsort((np.arange(run.instance.n_arms), -np.asarray(run.tracker.means)))
+    order = _descending_order(run.tracker.means)
     top = order[: run.split_size]
     bottom = order[run.split_size :]
     return bool(np.all(run.udr[top] < run.lb) and np.all(run.udl[bottom] < run.lb))
@@ -435,8 +434,7 @@ def uniform_baseline(
     run = _Run(instance, config, rng)
     arms = np.arange(instance.n_arms)
     rounds = config.budget_cap // instance.n_arms
-    run.advance(arms, rounds)
-    run.truncated = False  # exhausting the budget is this baseline's normal end
+    run.advance(arms, rounds)  # ends within the cap, so never truncated
     run.tracker.refresh()
     return run.finish("uniform", "budget")
 
@@ -457,18 +455,17 @@ def naive_sort_then_bai(
     run = _Run(instance, config, rng)
     k = instance.n_arms
     idx = np.arange(k)
-    ones = np.ones(k, dtype=bool)
 
     # ---- phase 1: separate all intervals ----
     while True:
         full = run.step(idx)
-        run.record(ones, ones)
+        run.record()
         if not full:
             return run.finish("naive", "budget", phase1_rounds=run.t)
         tr = run.tracker
         by_l = np.argsort(tr.l_env, kind="stable")
         if np.all(tr.r_env[by_l][:-1] < tr.l_env[by_l][1:]):
-            order = np.lexsort((idx, -tr.means))
+            order = _descending_order(tr.means)
             break
     phase1_rounds = run.t
 
@@ -483,15 +480,13 @@ def naive_sort_then_bai(
         arms = np.empty(2 * gaps.size, dtype=int)
         arms[0::2] = hi[gaps]
         arms[1::2] = lo[gaps]
-        full = run.step(arms, n_rounds, collect=True)
-        if run.draws is not None:
-            diffs = run.draws[:, 0::2] - run.draws[:, 1::2]
-            np.add.at(gap_counts, gaps, run.draws.shape[0])
-            np.add.at(gap_sums, gaps, diffs.sum(axis=0))
+        full = run.step(arms, n_rounds)
+        gap_counts[gaps] += run.block_rounds
+        gap_sums[gaps] += run.block_sums[0::2] - run.block_sums[1::2]
         return full
 
     full = gap_step(np.arange(n_gaps), 1)  # one sample of every gap
-    run.record(ones, ones)
+    run.record()
     while full:
         s = gap_counts.astype(float)
         ghat = gap_sums / s
@@ -500,14 +495,10 @@ def naive_sort_then_bai(
         others = idx[:-1] != leader
         best_other = float((ghat + crad)[others].max())
         if ghat[leader] - crad[leader] > best_other:
-            top = tuple(sorted(int(i) for i in order[: leader + 1]))
-            bottom = tuple(sorted(int(i) for i in order[leader + 1 :]))
-            return run.finish("naive", "rule", (top, bottom), phase1_rounds)
+            return run.finish("naive", "rule", _split_order(order, leader + 1), phase1_rounds)
         challenger = int(np.flatnonzero(others)[np.argmax((ghat + crad)[others])])
         full = gap_step(np.array([leader, challenger]))
-        pair = np.zeros(k, dtype=bool)
-        pair[[hi[leader], lo[leader], hi[challenger], lo[challenger]]] = True
-        run.record(pair, pair)
+        run.record()
     return run.finish("naive", "budget", phase1_rounds=phase1_rounds)
 
 

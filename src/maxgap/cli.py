@@ -24,7 +24,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -60,50 +61,40 @@ PROFILE_COLUMNS = ("algorithm", "seed", "budget", "arm", "samples")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a sweep needs; JSON-loadable, flags may override."""
+class ExperimentConfig(RunConfig):
+    """The run knobs of ``RunConfig`` plus what a sweep adds: instance,
+    algorithms, trials and output.  JSON-loadable, flags may override."""
 
     instance: str = "two-gap"
     instance_params: dict = field(default_factory=dict)
     sigma: float = 1.0  # noise scale for means files
     algorithms: tuple[str, ...] = ("uniform", "maxgap-ucb")
-    delta: float = 0.1
     trials: int = 1
     seed: int = 0
-    checkpoints: tuple[int, ...] = ()
-    budget_cap: int = 10_000_000
-    ucb_stop_factor: float = 10.0
-    elim_early_stop: bool = False
-    check_growth: float = 1.0
     alpha: float = 1.0
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed", "budget_cap"):
+        super().__post_init__()
+        for name in ("trials", "seed"):
             _require_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(
                     f"unknown algorithm {name!r}; choices: {sorted(ALGORITHMS)}"
                 )
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        # RunConfig validates the run knobs and normalises the checkpoints.
-        object.__setattr__(self, "checkpoints", self.run_config().checkpoints)
 
     def run_config(self) -> RunConfig:
-        budget_cap = self.budget_cap
+        """The run knobs, with ``budget_cap`` capped at the last checkpoint."""
+        knobs = {f.name: getattr(self, f.name) for f in fields(RunConfig)}
         if self.checkpoints:
-            budget_cap = min(budget_cap, max(self.checkpoints))
-        return RunConfig(
-            delta=self.delta,
-            ucb_stop_factor=self.ucb_stop_factor,
-            budget_cap=budget_cap,
-            elim_early_stop=self.elim_early_stop,
-            checkpoints=self.checkpoints,
-            check_growth=self.check_growth,
-        )
+            knobs["budget_cap"] = min(self.budget_cap, self.checkpoints[-1])
+        return RunConfig(**knobs)
 
 
 def log_checkpoints(lo: int, hi: int, count: int = 20) -> tuple[int, ...]:
@@ -143,8 +134,15 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"{path}: checkpoint_count needs a checkpoint_range")
     try:
         if "checkpoint_range" in raw:
-            lo, hi = (_require_int("checkpoint_range", b) for b in raw.pop("checkpoint_range"))
-            raw["checkpoints"] = list(log_checkpoints(lo, hi, raw.pop("checkpoint_count", 20)))
+            bounds = [_require_int("checkpoint_range", b) for b in raw.pop("checkpoint_range")]
+            count = raw.pop("checkpoint_count", 20)
+            if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
+                raise ValueError(
+                    f"checkpoint_range: expected [lo, hi] with 0 < lo < hi, got {bounds}"
+                )
+            if count < 2:
+                raise ValueError(f"checkpoint_count: expected >= 2, got {count}")
+            raw["checkpoints"] = list(log_checkpoints(*bounds, count))
         return ExperimentConfig(**raw)
     except (TypeError, ValueError) as exc:  # e.g. a list of the wrong shape
         raise ValueError(f"{path}: {exc}") from exc
@@ -161,10 +159,13 @@ def build_instance(
     params = dict(params or {})
 
     def take(key: str, kind: type, default):
-        try:
-            return kind(params.pop(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"instance {name_or_path!r}: {key}: {exc}") from exc
+        value = params.pop(key, default)
+        name = f"instance {name_or_path!r}: {key}"
+        if kind is int:
+            return _require_int(name, value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}: expected a number, got {value!r}")
+        return float(value)
 
     try:
         if name_or_path == "two-gap":

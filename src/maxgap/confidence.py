@@ -97,9 +97,9 @@ def update(
 class IntervalTracker:
     """Vectorized counts, sums, and intervals for all arms of one run.
 
-    ``add`` accumulates samples cheaply; ``refresh`` recomputes raw intervals
-    and tightens the envelopes for every sampled arm.  Matches the scalar
-    ``update`` path arm-for-arm when refreshed after every sample.
+    ``add`` accumulates per-arm block sums; ``refresh`` recomputes raw
+    intervals and tightens the envelopes for every sampled arm.  Matches the
+    scalar ``update`` path arm-for-arm when refreshed after every sample.
     """
 
     def __init__(self, n_arms: int, sigmas: np.ndarray, delta: float):
@@ -115,14 +115,14 @@ class IntervalTracker:
         self.l_env = np.full(n_arms, -np.inf)
         self.r_env = np.full(n_arms, np.inf)
 
-    def add(self, arm_indices: np.ndarray, draws: np.ndarray) -> None:
-        """Accumulate a (n_rounds, len(arm_indices)) block of draws.
+    def add(self, arm_indices: np.ndarray, n_rounds: int, sums: np.ndarray) -> None:
+        """Accumulate ``n_rounds`` draws per listed arm, totalling ``sums``.
 
         Indices may repeat (an arm drawn twice per round); contributions
         accumulate per occurrence.
         """
-        np.add.at(self.counts, arm_indices, draws.shape[0])
-        np.add.at(self.sums, arm_indices, draws.sum(axis=0))
+        np.add.at(self.counts, arm_indices, n_rounds)
+        np.add.at(self.sums, arm_indices, sums)
 
     @property
     def means(self) -> np.ndarray:

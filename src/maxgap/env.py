@@ -30,6 +30,20 @@ __all__ = [
 ]
 
 
+def _descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices by descending value, ties by ascending index: the one arm
+    order of the package (``lexsort`` is stable)."""
+    return np.lexsort((np.arange(values.size), -values))
+
+
+def _split_order(order: np.ndarray, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first ``m`` arms of ``order`` and the rest, as sorted index tuples."""
+    return (
+        tuple(sorted(int(i) for i in order[:m])),
+        tuple(sorted(int(i) for i in order[m:])),
+    )
+
+
 class InstanceError(ValueError):
     """Raised when a set of arms does not form a valid problem instance."""
 
@@ -95,8 +109,7 @@ class Instance:
 
     @cached_property
     def sorted_order(self) -> np.ndarray:
-        # Descending mean, ties by ascending arm index (lexsort is stable).
-        return np.lexsort((np.arange(self.n_arms), -self.means))
+        return _descending_order(self.means)
 
     @cached_property
     def sorted_means(self) -> np.ndarray:
@@ -134,11 +147,11 @@ class Instance:
 
     @cached_property
     def top_cluster(self) -> tuple[int, ...]:
-        return tuple(sorted(int(i) for i in self.sorted_order[: self.split_rank]))
+        return _split_order(self.sorted_order, self.split_rank)[0]
 
     @cached_property
     def bottom_cluster(self) -> tuple[int, ...]:
-        return tuple(sorted(int(i) for i in self.sorted_order[self.split_rank :]))
+        return _split_order(self.sorted_order, self.split_rank)[1]
 
 
 def sample(instance: Instance, arm_index: int, rng: np.random.Generator) -> float:

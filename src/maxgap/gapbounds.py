@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import _descending_order
+
 __all__ = [
     "IntervalSnapshot",
     "right_anchor_gap",
@@ -163,8 +165,7 @@ def lower_max_gap(
     l = np.asarray(l, dtype=float)
     r = np.asarray(r, dtype=float)
     means = np.asarray(empirical_means, dtype=float)
-    k = l.size
-    order = np.lexsort((np.arange(k), -means))
+    order = _descending_order(means)
     l_ord, r_ord = l[order], r[order]
 
     prefmin = np.minimum.accumulate(l_ord)

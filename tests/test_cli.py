@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import make_streetview_scale_means
+from maxgap.algorithms import RunConfig
 from maxgap.cli import (
     ExperimentConfig,
     RESULT_COLUMNS,
@@ -49,11 +51,30 @@ class TestConfig:
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize(
-        "bad", [{"delta": 1.5}, {"check_growth": 0.5}, {"ucb_stop_factor": 0.0}]
+        "bad",
+        [
+            {"delta": 1.5}, {"check_growth": 0.5}, {"ucb_stop_factor": 0.0},
+            {"check_growth": math.nan}, {"check_growth": math.inf},
+            {"ucb_stop_factor": math.nan}, {"ucb_stop_factor": math.inf},
+            {"delta": math.nan}, {"seed": -1},
+        ],
     )
     def test_run_knobs_checked_at_load(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentConfig(**bad)
+
+    def test_run_config_copies_every_run_knob(self):
+        knobs = dict(
+            delta=0.05, ucb_stop_factor=3.0, budget_cap=50_000, elim_early_stop=True,
+            checkpoints=(100, 2000), check_growth=1.05,
+        )
+        run_fields = fields(RunConfig)
+        assert sorted(knobs) == sorted(f.name for f in run_fields)
+        assert all(knobs[f.name] != f.default for f in run_fields)
+        cfg = ExperimentConfig(**knobs, trials=2, seed=3)
+        assert cfg.run_config() == RunConfig(**knobs | {"budget_cap": 2000})
+        uncapped = replace(cfg, checkpoints=())
+        assert uncapped.run_config() == RunConfig(**knobs | {"checkpoints": ()})
 
     def test_load_config_with_checkpoint_range(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -111,6 +132,21 @@ class TestBuildInstance:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "m.txt").write_text("0.0\n1.0\n3.0\n")
         with pytest.raises(ValueError, match=re.escape(str(unused))):
+            build_instance(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("one-gap", {"n_arms": 24.7}, "n_arms"),
+            ("one-gap", {"n_arms": 24.0}, "n_arms"),
+            ("one-gap", {"n_arms": True}, "n_arms"),
+            ("one-gap", {"n_arms": "6"}, "n_arms"),
+            ("one-gap", {"delta_max": False}, "delta_max"),
+            ("lower-bound", {"nu": "1.0"}, "nu"),
+        ],
+    )
+    def test_rejects_bad_param_values(self, name, params, key):
+        with pytest.raises(ValueError, match=re.escape(f"instance {name!r}: {key}")):
             build_instance(name, params)
 
 
@@ -314,6 +350,17 @@ class TestCliRun:
             ({"instance": "one-gap", "instance_params": {"n_arms": "x"}}, "'one-gap': n_arms"),
             ({"checkpoint_range": [1000.7, 5000]}, "checkpoint_range"),
             ({"checkpoint_count": 5}, "checkpoint_count"),
+            ({"instance": "one-gap", "instance_params": {"n_arms": 24.7}}, "'one-gap': n_arms"),
+            ({"instance": "one-gap", "instance_params": {"n_arms": True}}, "'one-gap': n_arms"),
+            ({"instance": "one-gap", "instance_params": {"n_arms": "6"}}, "'one-gap': n_arms"),
+            ({"instance": "lower-bound", "instance_params": {"nu": "1.0"}}, "'lower-bound': nu"),
+            ({"checkpoint_range": [1, 2, 3]}, "checkpoint_range"),
+            ({"checkpoint_range": [5000, 100]}, "checkpoint_range"),
+            ({"checkpoint_range": [100, 5000], "checkpoint_count": 1}, "checkpoint_count"),
+            ({"check_growth": math.nan}, "check_growth"),
+            ({"check_growth": math.inf}, "check_growth"),
+            ({"ucb_stop_factor": math.nan}, "ucb_stop_factor"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, bad, named):

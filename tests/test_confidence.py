@@ -105,7 +105,7 @@ class TestUpdate:
         for _ in range(50):
             arm = int(rng.integers(k))
             x = float(rng.normal())
-            tracker.add(np.array([arm]), np.array([[x]]))
+            tracker.add(np.array([arm]), 1, np.array([x]))
             tracker.refresh()
             stats[arm], states[arm] = update(stats[arm], states[arm], x, k, 0.2, 1.3)
         for a in range(k):
@@ -115,6 +115,17 @@ class TestUpdate:
             assert tracker.r_raw[a] == pytest.approx(states[a].r, abs=1e-12)
             assert tracker.l_env[a] == pytest.approx(states[a].l_env, abs=1e-12)
             assert tracker.r_env[a] == pytest.approx(states[a].r_env, abs=1e-12)
+
+    def test_add_repeated_index_accumulates_per_occurrence(self):
+        # naive's LUCB round lists the endpoints of the leader and challenger
+        # gaps; when the two gaps share an arm, that arm is listed twice
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        tracker.add(np.array([0, 1, 1, 2]), 3, np.array([1.5, 2.0, 4.0, -3.0]))
+        assert tracker.counts.tolist() == [3, 6, 3, 0]
+        assert tracker.sums.tolist() == [1.5, 6.0, -3.0, 0.0]
+        tracker.add(np.array([1, 1]), 2, np.array([0.5, 0.25]))
+        assert tracker.counts.tolist() == [3, 10, 3, 0]
+        assert tracker.sums.tolist() == [1.5, 6.75, -3.0, 0.0]
 
 
 class TestCoverage:
@@ -133,19 +144,19 @@ class TestCoverage:
     def test_good_event_zero_noise(self):
         inst = Instance(tuple(ArmSpec(m, 0.0) for m in [0.0, 1.0, 3.0]))
         tracker = IntervalTracker(3, inst.sigmas, 0.1)
-        tracker.add(np.arange(3), inst.means[None, :])
+        tracker.add(np.arange(3), 1, inst.means)
         tracker.refresh()
         assert tracker.contains_truth(inst)
 
     def test_good_event_detects_escape(self):
         inst = Instance(tuple(ArmSpec(m, 1.0) for m in [0.0, 1.0, 3.0]))
         tracker = IntervalTracker(3, inst.sigmas, 0.1)
-        tracker.add(np.arange(3), np.tile(inst.means, (10_000, 1)))
+        tracker.add(np.arange(3), 10_000, 10_000 * inst.means)
         tracker.refresh()
         assert tracker.contains_truth(inst)
         # arm 1's empirical mean pushed to 0.5: its interval (radius ~0.05)
         # misses the true mean 1.0
-        tracker.add(np.array([1]), np.full((10_000, 1), 0.0))
+        tracker.add(np.array([1]), 10_000, np.zeros(1))
         tracker.refresh()
         assert tracker.l_raw[1] < 1.0 and tracker.r_raw[1] < 1.0
         assert not tracker.contains_truth(inst)

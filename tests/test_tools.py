@@ -1,0 +1,23 @@
+"""``tools/fingerprints.py``: two calls on one checkout print the same lines."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_fingerprints_repeatable():
+    cmd = [
+        sys.executable, os.path.join(ROOT, "tools", "fingerprints.py"),
+        "--root", ROOT, "--trials", "1",
+    ]
+    first, second = (
+        subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    lines = [line.split() for line in first.splitlines()]
+    # elim-sweep 1 run, ucb-every-round 2, anytime-sweep 4, bad-event seeds 2
+    assert len(lines) == 9 and all(len(parts) == 5 for parts in lines)
+    assert [parts[1] for parts in lines[-2:]] == ["10400017", "10900048"]

@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print the trace fingerprints of the benchmark workloads of one checkout.
+
+    python3 tools/fingerprints.py --root <checkout> --trials N > prints.txt
+
+``maxgap`` is imported from ``<checkout>/src``, and the workloads and
+``run.fingerprints`` from ``<checkout>/perfbench``.  The script runs trial
+seeds 0..N-1 of every workload, plus the two ``elim-sweep`` seeds whose runs
+hit the bad event.  It prints one line per algorithm run: workload, trial
+seed, algorithm, ``RunTrace.fingerprint()`` and the sha256 of the trial's
+anytime CSV (``-`` on workloads that write none).
+
+A change that keeps the RNG stream must leave the output identical, so
+comparing two checkouts is a ``diff`` of their outputs.  Nothing is written
+into the checkout: no bytecode, and the CSV goes to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+# (workload, trial seed) runs beyond seeds 0..N-1: two-gap elimination runs
+# whose envelopes cross after the good event fails.
+EXTRA = (("elim-sweep", 10400017), ("elim-sweep", 10900048))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", required=True, help="checkout to fingerprint")
+    parser.add_argument("--trials", type=int, required=True, help="seeds 0..N-1 per workload")
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import run  # perfbench/run.py; pins BLAS/OpenMP to one thread on import
+    from workloads import make_workloads
+
+    jobs = [(name, seed) for name in run.WORKLOADS for seed in range(args.trials)]
+    jobs += EXTRA
+    with tempfile.TemporaryDirectory() as out_dir:
+        workloads = make_workloads(out_dir)
+        for w in workloads.values():
+            w.setup()
+        try:
+            for name, seed in jobs:
+                trial = workloads[name].trial(seed)
+                prints = run.fingerprints(trial)
+                csv = "-"
+                if trial.csv_path:
+                    csv = hashlib.sha256(bytes.fromhex(prints.pop())).hexdigest()
+                for trace, fp in zip(trial.traces, prints):
+                    print(name, seed, trace.algorithm, fp, csv)
+        finally:
+            for w in workloads.values():
+                w.close()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
