@@ -36,6 +36,7 @@ from .env import (
     load_means_file,
     sample,
     sample_block,
+    sample_sums,
 )
 from .gapbounds import (
     IntervalSnapshot,
@@ -91,6 +92,7 @@ __all__ = [
     "right_anchor_gap",
     "sample",
     "sample_block",
+    "sample_sums",
     "uniform_baseline",
     "update",
     "upper_gap",

@@ -20,7 +20,8 @@ They differ in which arms they sample:
 
 Bound recompute cadence: by default bounds are recomputed every round.
 ``RunConfig.check_growth > 1`` switches to a geometrically spaced schedule
-(sampling is unchanged; eliminations and stopping are only evaluated at
+(the law of the sampling is unchanged, since a block is drawn as one
+Gaussian sum per arm; eliminations and stopping are only evaluated at
 scheduled rounds), which long Monte-Carlo sweeps need to stay tractable.
 
 Runs are deterministic functions of (instance, config, generator state):
@@ -38,7 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .confidence import IntervalTracker
-from .env import Instance, _descending_order, _split_order, sample_block
+from .env import Instance, _descending_order, _split_order, sample_sums
+from .env import sample_block  # noqa: F401  the benchmark's tracer patches this name
 from .gapbounds import lower_max_gap, upper_gaps
 
 __all__ = [
@@ -217,8 +219,9 @@ class _Run:
     def advance(self, arms: np.ndarray, n_rounds: int) -> tuple[int, np.ndarray]:
         """Sample ``arms`` for up to ``n_rounds`` rounds.
 
-        Splits at checkpoint crossings and at the budget cap.  Returns (rounds
-        run, each column's sum of draws): no draw outlives this call.
+        Splits at checkpoint crossings and at the budget cap; each chunk is one
+        Gaussian sum per arm (``sample_sums``).  Returns (rounds run, each
+        arm's sum of rewards).
         """
         m = arms.size
         done = 0
@@ -233,7 +236,7 @@ class _Run:
                 need = self._ckpts[self._next_ckpt] - self.total
                 if need > 0:
                     step = min(step, -(-need // m))
-            chunk = sample_block(self.instance, arms, step, self.rng).sum(axis=0)
+            chunk = sample_sums(self.instance, arms, step, self.rng)
             self.tracker.add(arms, step, chunk)
             sums += chunk
             self.t += step

@@ -154,9 +154,15 @@ def build_instance(
     """Resolve a builtin instance name or a means-file path.
 
     ``params`` may hold only the keys the chosen builder takes; two-gap and
-    means files take none.
+    means files take none.  ``sigma`` scales the noise of a means file; the
+    builtins have unit noise and reject any other value.
     """
     params = dict(params or {})
+    if name_or_path in ("two-gap", "one-gap", "lower-bound") and sigma != 1.0:
+        raise ValueError(
+            f"instance {name_or_path!r}: sigma applies to means files only "
+            f"(builtins have sigma 1.0), got sigma={sigma!r}"
+        )
 
     def take(key: str, kind: type, default):
         value = params.pop(key, default)
@@ -217,6 +223,18 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed + trial))
 
 
+def _instance_and_run_config(config: ExperimentConfig) -> tuple[Instance, RunConfig]:
+    """The config's instance and run knobs.  The last checkpoint caps the
+    budget, so it must allow one round over all arms."""
+    instance = build_instance(config.instance, config.instance_params, config.sigma)
+    if config.checkpoints and config.checkpoints[-1] < instance.n_arms:
+        raise ValueError(
+            f"checkpoints: the last checkpoint {config.checkpoints[-1]} caps the budget "
+            f"below one round over all {instance.n_arms} arms"
+        )
+    return instance, config.run_config()
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run the sweep and return result rows (also written to config.out).
 
@@ -227,9 +245,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     error-rate rows (mean and standard deviation of the 0/1 error flags,
     truncated runs excluded) are appended per algorithm and budget.
     """
-    instance = build_instance(config.instance, config.instance_params, config.sigma)
+    instance, run_cfg = _instance_and_run_config(config)
     truth = instance.top_cluster
-    run_cfg = config.run_config()
     rows: list[dict] = []
     flags: dict[tuple[str, Optional[int]], list[int]] = {}
     stop_totals: dict[str, list[int]] = {}
@@ -302,10 +319,8 @@ def allocation_profile(config: ExperimentConfig) -> list[dict]:
     """One UCB run; per-arm sample counts at each checkpoint, long form."""
     if not config.checkpoints:
         raise ValueError("profile needs checkpoints (or checkpoint_range) in the config")
-    instance = build_instance(config.instance, config.instance_params, config.sigma)
-    trace = ALGORITHMS["maxgap-ucb"](
-        instance, config.run_config(), _trial_rng(config.seed, 0)
-    )
+    instance, run_cfg = _instance_and_run_config(config)
+    trace = ALGORITHMS["maxgap-ucb"](instance, run_cfg, _trial_rng(config.seed, 0))
     rows = [
         {
             "algorithm": "maxgap-ucb",

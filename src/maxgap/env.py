@@ -23,6 +23,7 @@ __all__ = [
     "InstanceError",
     "sample",
     "sample_block",
+    "sample_sums",
     "build_two_gap_instance",
     "build_one_gap_instance",
     "build_lower_bound_instance",
@@ -166,6 +167,14 @@ def sample(instance: Instance, arm_index: int, rng: np.random.Generator) -> floa
     return arm.mean + arm.sigma * rng.standard_normal()
 
 
+def _checked_arms(instance: Instance, arm_indices: np.ndarray) -> np.ndarray:
+    """``arm_indices`` as an int array; an index outside [0, K) is an ``IndexError``."""
+    arm_indices = np.asarray(arm_indices, dtype=int)
+    if arm_indices.size and (arm_indices.min() < 0 or arm_indices.max() >= instance.n_arms):
+        raise IndexError("arm index out of range")
+    return arm_indices
+
+
 def sample_block(
     instance: Instance,
     arm_indices: np.ndarray,
@@ -177,11 +186,30 @@ def sample_block(
     Row i holds round i's draws in the given arm order, matching the stream a
     per-round loop over ``sample`` would consume arm-by-arm.
     """
-    arm_indices = np.asarray(arm_indices, dtype=int)
-    if arm_indices.size and (arm_indices.min() < 0 or arm_indices.max() >= instance.n_arms):
-        raise IndexError("arm index out of range")
+    arm_indices = _checked_arms(instance, arm_indices)
     z = rng.standard_normal((n_rounds, arm_indices.size))
     return instance.means[arm_indices] + instance.sigmas[arm_indices] * z
+
+
+def sample_sums(
+    instance: Instance,
+    arm_indices: np.ndarray,
+    n_rounds: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sum of ``n_rounds`` rewards from each listed arm; shape (len(arms),).
+
+    The sum of n Gaussian draws has law N(n * mean, n * sigma^2), so one
+    normal per listed arm gives it exactly; a repeated index gets its own.
+    With ``n_rounds = 1`` the stream and the result equal ``sample_block``'s
+    single row bit for bit.
+    """
+    arm_indices = _checked_arms(instance, arm_indices)
+    z = rng.standard_normal(arm_indices.size)
+    return (
+        n_rounds * instance.means[arm_indices]
+        + math.sqrt(n_rounds) * instance.sigmas[arm_indices] * z
+    )
 
 
 def _instance_from_sorted_gaps(

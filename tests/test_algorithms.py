@@ -325,10 +325,12 @@ DETERMINISM_CONFIG = RunConfig(
 
 # (stopped_by, total_samples, stop_round, final_counts, clusters,
 # degenerate_rounds) of one seed-9 run on the lower-bound instance under
-# DETERMINISM_CONFIG, recorded before the samplers shared one loop.
+# DETERMINISM_CONFIG, recorded before the samplers shared one loop.  The
+# maxgap-ucb pin was re-recorded when a block became one Gaussian sum per arm
+# (``sample_sums``); the others read the same on both streams.
 PINNED_SUMMARIES = {
     "maxgap-elim": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),
-    "maxgap-ucb": ("budget", 60000, 20197, [853, 20197, 19475, 19475], ((0, 1), (2, 3)), 0),
+    "maxgap-ucb": ("budget", 59999, 23718, [1385, 23718, 22464, 12432], ((0, 1), (2, 3)), 0),
     "maxgap-top2-ucb": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 130),
     "uniform": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),
     "naive": ("budget", 60000, 15000, [15000] * 4, ((0, 1), (2, 3)), 0),

@@ -149,6 +149,12 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=re.escape(f"instance {name!r}: {key}")):
             build_instance(name, params)
 
+    @pytest.mark.parametrize("name", ["two-gap", "one-gap", "lower-bound"])
+    def test_builtins_reject_sigma(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"instance {name!r}: sigma")):
+            build_instance(name, sigma=0.5)
+        assert build_instance(name, sigma=1.0) == build_instance(name)
+
 
 class TestRunExperiment:
     def make_config(self, tmp_path, **kw):
@@ -361,6 +367,9 @@ class TestCliRun:
             ({"check_growth": math.inf}, "check_growth"),
             ({"ucb_stop_factor": math.nan}, "ucb_stop_factor"),
             ({"seed": -1}, "seed"),
+            ({"sigma": 0.5}, "'two-gap': sigma"),
+            ({"instance": "one-gap", "sigma": 2.0}, "'one-gap': sigma"),
+            ({"checkpoints": [10]}, "checkpoints: the last checkpoint 10"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, bad, named):

@@ -15,6 +15,7 @@ from maxgap.env import (
     load_means_file,
     sample,
     sample_block,
+    sample_sums,
 )
 
 
@@ -127,6 +128,47 @@ class TestSampling:
         inst = make_instance([0.0, 1.0, 3.0])
         with pytest.raises(IndexError):
             sample(inst, 3, np.random.default_rng(0))
+
+
+class TestSampleSums:
+    def test_one_round_is_sample_block_bit_for_bit(self):
+        inst = make_instance([0.3, -1.2, 2.5, 7.0], sigma=0.7)
+        arms = np.array([3, 0, 2, 2, 1])
+        rng_sums, rng_block = np.random.default_rng(5), np.random.default_rng(5)
+        sums = sample_sums(inst, arms, 1, rng_sums)
+        block = sample_block(inst, arms, 1, rng_block)
+        assert sums.tobytes() == block[0].tobytes()
+        assert rng_sums.bit_generator.state == rng_block.bit_generator.state
+
+    def test_moments_match_sum_of_n_draws(self):
+        means, sigmas = [0.5, -2.0, 4.0], [1.0, 0.25, 2.0]
+        inst = Instance(tuple(ArmSpec(m, s) for m, s in zip(means, sigmas)))
+        n, draws = 37, 20_000
+        arms = np.tile(np.arange(3), draws)
+        sums = sample_sums(inst, arms, n, np.random.default_rng(21)).reshape(draws, 3)
+        mu, var = n * np.array(means), n * np.array(sigmas) ** 2
+        # standard errors of the sample mean and of the sample variance
+        assert np.all(np.abs(sums.mean(axis=0) - mu) < 4 * np.sqrt(var / draws))
+        assert np.all(np.abs(sums.var(axis=0, ddof=1) - var) < 4 * var * np.sqrt(2 / (draws - 1)))
+
+    def test_repeated_index_gets_its_own_normal(self):
+        inst = make_instance([0.0, 1.0, 3.0])
+        pairs = sample_sums(inst, np.ones(10_000, dtype=int), 10, np.random.default_rng(8))
+        pairs = pairs.reshape(-1, 2)
+        assert not np.any(pairs[:, 0] == pairs[:, 1])
+        # independent columns: correlation within 4 standard errors of 0
+        assert abs(np.corrcoef(pairs.T)[0, 1]) < 4 / np.sqrt(pairs.shape[0])
+
+    def test_out_of_range_arm(self):
+        inst = make_instance([0.0, 1.0, 3.0])
+        for arms in ([0, 3], [-1]):
+            with pytest.raises(IndexError):
+                sample_sums(inst, np.array(arms), 5, np.random.default_rng(0))
+
+    def test_zero_noise_gives_exact_sum(self):
+        inst = make_instance([0.1, 0.7, 1.5], sigma=0.0)
+        sums = sample_sums(inst, np.array([2, 0, 1]), 1000, np.random.default_rng(4))
+        assert sums.tolist() == [1000 * 1.5, 1000 * 0.1, 1000 * 0.7]
 
 
 class TestBuilders:

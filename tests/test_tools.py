@@ -19,5 +19,6 @@ def test_fingerprints_repeatable():
     assert first == second
     lines = [line.split() for line in first.splitlines()]
     # elim-sweep 1 run, ucb-every-round 2, anytime-sweep 4, bad-event seeds 2
-    assert len(lines) == 9 and all(len(parts) == 5 for parts in lines)
+    assert len(lines) == 9 and all(len(parts) == 6 for parts in lines)
     assert [parts[1] for parts in lines[-2:]] == ["10400017", "10900048"]
+    assert [parts[5] for parts in lines] == ["-"] * 9  # no gate problems

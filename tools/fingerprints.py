@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """Print the trace fingerprints of the benchmark workloads of one checkout.
 
-    python3 tools/fingerprints.py --root <checkout> --trials N > prints.txt
+    python3 tools/fingerprints.py --root <checkout> --trials N [--seed S] > prints.txt
 
 ``maxgap`` is imported from ``<checkout>/src``, and the workloads and
-``run.fingerprints`` from ``<checkout>/perfbench``.  The script runs trial
-seeds 0..N-1 of every workload, plus the two ``elim-sweep`` seeds whose runs
-hit the bad event.  It prints one line per algorithm run: workload, trial
-seed, algorithm, ``RunTrace.fingerprint()`` and the sha256 of the trial's
-anytime CSV (``-`` on workloads that write none).
+``run.fingerprints`` from ``<checkout>/perfbench``.  The script runs trials
+0..N-1 of every workload, trial i on the benchmark's trial seed
+``run.trial_seed(S, i)`` (S defaults to 0, where that seed is i), plus the
+two ``elim-sweep`` seeds whose runs hit the bad event.  It prints one line
+per algorithm run: workload, trial seed, algorithm, ``RunTrace.fingerprint()``,
+the sha256 of the trial's anytime CSV (``-`` on workloads that write none),
+and the problems the workload's ``problems()`` gate found for that run,
+joined by ``,`` (``-`` when there are none).
 
 A change that keeps the RNG stream must leave the output identical, so
-comparing two checkouts is a ``diff`` of their outputs.  Nothing is written
-into the checkout: no bytecode, and the CSV goes to a temporary directory.
+comparing two checkouts is a ``diff`` of their outputs; on a change that
+moves the stream, the last column is a pre-flight of the benchmark's gate
+over the trial seeds that ``perfbench/run.py --seed S`` runs.  Nothing is
+written into the checkout: no bytecode, and the CSV goes to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ EXTRA = (("elim-sweep", 10400017), ("elim-sweep", 10900048))
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", required=True, help="checkout to fingerprint")
-    parser.add_argument("--trials", type=int, required=True, help="seeds 0..N-1 per workload")
+    parser.add_argument("--trials", type=int, required=True, help="trials 0..N-1 per workload")
+    parser.add_argument("--seed", type=int, default=0, help="benchmark seed S of the trial seeds")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True
@@ -39,7 +46,11 @@ def main(argv=None) -> int:
     import run  # perfbench/run.py; pins BLAS/OpenMP to one thread on import
     from workloads import make_workloads
 
-    jobs = [(name, seed) for name in run.WORKLOADS for seed in range(args.trials)]
+    jobs = [
+        (name, run.trial_seed(args.seed, i))
+        for name in run.WORKLOADS
+        for i in range(args.trials)
+    ]
     jobs += EXTRA
     with tempfile.TemporaryDirectory() as out_dir:
         workloads = make_workloads(out_dir)
@@ -47,13 +58,14 @@ def main(argv=None) -> int:
             w.setup()
         try:
             for name, seed in jobs:
-                trial = workloads[name].trial(seed)
+                w = workloads[name]
+                trial = w.trial(seed)
                 prints = run.fingerprints(trial)
                 csv = "-"
                 if trial.csv_path:
                     csv = hashlib.sha256(bytes.fromhex(prints.pop())).hexdigest()
-                for trace, fp in zip(trial.traces, prints):
-                    print(name, seed, trace.algorithm, fp, csv)
+                for trace, fp, bad in zip(trial.traces, prints, w.problems(trial), strict=True):
+                    print(name, seed, trace.algorithm, fp, csv, ",".join(bad) or "-")
         finally:
             for w in workloads.values():
                 w.close()
