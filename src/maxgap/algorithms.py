@@ -209,8 +209,7 @@ class _Run:
         self.total = 0
         self.truncated = False
         self.degenerate_rounds = 0
-        self._ckpts = list(config.checkpoints)
-        self._next_ckpt = 0
+        self._pending = list(reversed(config.checkpoints))  # next checkpoint last
         self.checkpoint_records: list[CheckpointRecord] = []
         self._rows: list[tuple] = []
 
@@ -232,22 +231,16 @@ class _Run:
                 self.truncated = True
                 break
             step = min(n_rounds - done, cap_rounds)
-            if self._next_ckpt < len(self._ckpts):
-                need = self._ckpts[self._next_ckpt] - self.total
-                if need > 0:
-                    step = min(step, -(-need // m))
+            if self._pending:  # stop at the next checkpoint, always above total
+                step = min(step, -(-(self._pending[-1] - self.total) // m))
             chunk = sample_sums(self.instance, arms, step, self.rng)
             self.tracker.add(arms, step, chunk)
             sums += chunk
             self.t += step
             self.total += step * m
             done += step
-            while (
-                self._next_ckpt < len(self._ckpts)
-                and self.total >= self._ckpts[self._next_ckpt]
-            ):
-                self._record_checkpoint(self._ckpts[self._next_ckpt])
-                self._next_ckpt += 1
+            while self._pending and self.total >= self._pending[-1]:
+                self._record_checkpoint(self._pending.pop())
         return done, sums
 
     def step(self, arms: np.ndarray, n_rounds: Optional[int] = None) -> bool:
@@ -299,9 +292,8 @@ class _Run:
         checkpoints the run never reached get the final clustering."""
         if clusters is None:
             clusters = report_clusters(self.tracker.means)
-        for budget in self._ckpts[self._next_ckpt :]:
-            self._record_checkpoint(budget)
-        self._next_ckpt = len(self._ckpts)
+        while self._pending:
+            self._record_checkpoint(self._pending.pop())
         k = self.instance.n_arms
         round_, counts, udr, udl, lb, env_l, env_r, sampled, active = (
             list(zip(*self._rows)) or [()] * 9

@@ -82,6 +82,10 @@ class ExperimentConfig(RunConfig):
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(
+                f"algorithms must be non-empty without repeats, got {list(self.algorithms)}"
+            )
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(
@@ -446,15 +450,16 @@ def write_hardness_report(
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    for name in ("seed", "trials", "delta", "out", "sigma"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if getattr(args, "instance", None) is not None:
-        updates["instance"] = args.instance
+    """Set every config field whose flag was given; ``--instance`` also
+    clears the file's ``instance_params``."""
+    updates = {
+        f.name: getattr(args, f.name)
+        for f in fields(config)
+        if getattr(args, f.name, None) is not None
+    }
+    if "instance" in updates:
         updates["instance_params"] = {}
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -521,8 +526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
         elif args.command == "hardness":
             config = _config_from_args(args)
-            if getattr(args, "alpha", None) is not None:
-                config = replace(config, alpha=args.alpha)
             instance = build_instance(
                 config.instance, config.instance_params, config.sigma
             )

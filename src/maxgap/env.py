@@ -270,7 +270,8 @@ def load_means_file(path: str, sigma: float) -> Instance:
     """Read an instance from a plain text file, one decimal mean per line.
 
     Arms keep the file's order; all arms share the given sigma.  Fails on
-    empty files, unparseable lines, fewer than 3 arms, or a tied largest gap.
+    empty files, unparseable or non-finite lines (naming ``path:line``),
+    fewer than 3 arms, or a tied largest gap.
     """
     means: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -279,9 +280,12 @@ def load_means_file(path: str, sigma: float) -> Instance:
             if not text:
                 continue
             try:
-                means.append(float(text))
+                mean = float(text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: cannot parse mean {text!r}") from exc
+            if not math.isfinite(mean):
+                raise InstanceError(f"{path}:{lineno}: arm mean must be finite, got {text!r}")
+            means.append(mean)
     if not means:
         raise ValueError(f"{path}: empty means file")
     if len(means) < 3:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_streetview_scale_means
+from maxgap import cli
 from maxgap.algorithms import RunConfig
 from maxgap.cli import (
     ExperimentConfig,
@@ -370,6 +371,8 @@ class TestCliRun:
             ({"sigma": 0.5}, "'two-gap': sigma"),
             ({"instance": "one-gap", "sigma": 2.0}, "'one-gap': sigma"),
             ({"checkpoints": [10]}, "checkpoints: the last checkpoint 10"),
+            ({"algorithms": []}, "algorithms"),
+            ({"algorithms": ["uniform", "uniform"]}, "algorithms"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, bad, named):
@@ -380,6 +383,48 @@ class TestCliRun:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("maxgap: error:") and named in err
+
+    @pytest.mark.parametrize(
+        "command, flag, name, value",
+        [
+            ("run", "--seed", "seed", 7),
+            ("run", "--trials", "trials", 5),
+            ("run", "--delta", "delta", 0.05),
+            ("run", "--out", "out", "flag.csv"),
+            ("run", "--sigma", "sigma", 0.5),
+            ("run", "--instance", "instance", "two-gap"),
+            ("hardness", "--alpha", "alpha", 3.5),
+        ],
+    )
+    def test_flag_sets_field_of_its_name(self, tmp_path, monkeypatch, command, flag, name, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "instance": "lower-bound",
+                    "instance_params": {"nu": 1.0, "epsilon": 0.2},
+                    "algorithms": ["uniform"],
+                    "seed": 3,
+                    "trials": 2,
+                    "delta": 0.2,
+                    "alpha": 2.0,
+                    "out": str(tmp_path / "file.csv"),
+                }
+            )
+        )
+        if name == "out":
+            value = str(tmp_path / value)
+        seen = []
+        apply_overrides = cli._apply_overrides
+        monkeypatch.setattr(
+            cli, "_apply_overrides", lambda c, a: seen.append(apply_overrides(c, a)) or seen[-1]
+        )
+        monkeypatch.setattr(cli, "run_experiment", lambda config: [])
+        assert main([command, "--config", str(cfg_path), flag, str(value)]) == 0
+        expected = replace(load_config(str(cfg_path)), **{name: value})
+        if name == "instance":
+            expected = replace(expected, instance_params={})
+        assert seen == [expected]
 
     def test_streetview_scale_means_file(self, tmp_path):
         p = tmp_path / "sv.txt"

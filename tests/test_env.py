@@ -231,9 +231,10 @@ class TestMeansFile:
 
     def test_parse_failure_reports_line(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("0.1\noops\n0.3\n")
-        with pytest.raises(ValueError, match="2"):
-            load_means_file(str(p), sigma=1.0)
+        for bad in ("oops", "nan", "inf"):
+            p.write_text(f"0.1\n{bad}\n0.3\n")
+            with pytest.raises(ValueError, match=f"bad.txt:2: .*{bad!r}"):
+                load_means_file(str(p), sigma=1.0)
 
     def test_too_few_means(self, tmp_path):
         p = tmp_path / "two.txt"

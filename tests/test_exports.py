@@ -1,8 +1,12 @@
-"""The package's public names: every export resolves, and ``maxgap.__all__``
-is exactly the union of its submodules' ``__all__`` lists."""
+"""The package's public names: every export resolves, ``maxgap.__all__`` is
+exactly the union of its submodules' ``__all__`` lists, and the package
+imports without scipy, which only the tests use."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import maxgap
 
@@ -27,3 +31,10 @@ def test_all_is_union_of_submodule_exports():
     union = set().union(*(mod.__all__ for mod in submodules()))
     assert len(set(maxgap.__all__)) == len(maxgap.__all__)
     assert sorted(maxgap.__all__) == sorted(union)
+
+
+def test_package_imports_without_scipy():
+    code = 'import sys; sys.modules["scipy"] = None; import maxgap, maxgap.cli'
+    src = os.path.dirname(os.path.dirname(maxgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
