@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .confidence import IntervalTracker
-from .env import Instance, _descending_order, _split_order, sample_sums
+from .env import Instance, _descending_order, _sample_sums, _split_order
 from .env import sample_block  # noqa: F401  the benchmark's tracer patches this name
 from .gapbounds import lower_max_gap, upper_gaps
 
@@ -224,7 +224,7 @@ class _Run:
         """
         m = arms.size
         done = 0
-        sums = np.zeros(m)
+        sums = None
         while done < n_rounds:
             cap_rounds = (self.config.budget_cap - self.total) // m
             if cap_rounds <= 0:
@@ -233,15 +233,15 @@ class _Run:
             step = min(n_rounds - done, cap_rounds)
             if self._pending:  # stop at the next checkpoint, always above total
                 step = min(step, -(-(self._pending[-1] - self.total) // m))
-            chunk = sample_sums(self.instance, arms, step, self.rng)
+            chunk = _sample_sums(self.instance, arms, step, self.rng)
             self.tracker.add(arms, step, chunk)
-            sums += chunk
+            sums = chunk if sums is None else sums + chunk
             self.t += step
             self.total += step * m
             done += step
             while self._pending and self.total >= self._pending[-1]:
                 self._record_checkpoint(self._pending.pop())
-        return done, sums
+        return done, np.zeros(m) if sums is None else sums
 
     def step(self, arms: np.ndarray, n_rounds: Optional[int] = None) -> bool:
         """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``),
@@ -371,8 +371,8 @@ def _elim_select(run: _Run, active: np.ndarray) -> tuple[np.ndarray, Optional[st
 
 def _ucb_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
     top_set = run.ud == run.ud.max()  # exact ties: shared witnesses give equal floats
-    counts = np.sort(run.tracker.counts)
-    top_two = int(counts[-2:].sum())
+    k = run.instance.n_arms
+    top_two = int(np.partition(run.tracker.counts, k - 2)[k - 2 :].sum())
     dominant = top_two >= run.config.ucb_stop_factor * (run.total - top_two)
     return top_set, "rule" if dominant else None
 

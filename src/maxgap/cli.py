@@ -12,7 +12,8 @@ Subcommands:
 - ``hardness``: prints the per-arm hardness table and predicted complexity
   sums for an instance.
 
-Configuration is a flat JSON file; the few shared flags override it.  All
+Configuration is a flat JSON file; the flags a subcommand reads override
+it (``_COMMAND_FLAGS``), and any other flag is an error.  All
 outputs are deterministic functions of (config, seed): CSV with a header row,
 comma separators, ``.`` decimal point, LF line endings, full-precision
 (round-trippable) floats.
@@ -467,14 +468,30 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return _apply_overrides(config, args)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--trials", type=int, help="number of seeded trials")
-    p.add_argument("--delta", type=float, help="confidence parameter in (0, 1)")
-    p.add_argument("--instance", help="builtin instance name or means-file path")
-    p.add_argument("--sigma", type=float, help="noise scale for means files")
+# Each config flag's type and help; a flag sets the config key of its name.
+_FLAGS = {
+    "config": (str, "JSON config file"),
+    "seed": (int, "base RNG seed"),
+    "out": (str, "output CSV path"),
+    "trials": (int, "number of seeded trials"),
+    "delta": (float, "confidence parameter in (0, 1)"),
+    "instance": (str, "builtin instance name or means-file path"),
+    "sigma": (float, "noise scale for means files"),
+    "alpha": (float, "calibration constant"),
+}
+# The flags each config-driven subcommand reads; any other is an error.
+_COMMAND_FLAGS = {
+    "run": ("config", "seed", "out", "trials", "delta", "instance", "sigma"),
+    "profile": ("config", "seed", "out", "delta", "instance", "sigma"),
+    "hardness": ("config", "out", "delta", "instance", "sigma", "alpha"),
+}
+
+
+def _add_config_command(sub, command: str, text: str) -> None:
+    p = sub.add_parser(command, help=text)
+    for name in _COMMAND_FLAGS[command]:
+        kind, flag_help = _FLAGS[name]
+        p.add_argument(f"--{name}", type=kind, help=flag_help)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -483,11 +500,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="seeded experiment sweep")
-    _add_common_flags(p_run)
-
-    p_prof = sub.add_parser("profile", help="per-arm allocation profile of one UCB run")
-    _add_common_flags(p_prof)
+    _add_config_command(sub, "run", "seeded experiment sweep")
+    _add_config_command(sub, "profile", "per-arm allocation profile of one UCB run")
 
     p_ver = sub.add_parser("verify-bounds", help="gap bound oracle cross-check")
     p_ver.add_argument("--arms", type=int, default=4)
@@ -495,9 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", help="write the report as JSON")
 
-    p_hard = sub.add_parser("hardness", help="hardness parameters of an instance")
-    _add_common_flags(p_hard)
-    p_hard.add_argument("--alpha", type=float, help="calibration constant")
+    _add_config_command(sub, "hardness", "hardness parameters of an instance")
 
     args = parser.parse_args(argv)
     try:

@@ -126,8 +126,10 @@ class IntervalTracker:
 
     @property
     def means(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, self.sums / self.counts, np.nan)
+        """Empirical means; ``nan`` for an arm not sampled yet."""
+        return np.divide(
+            self.sums, self.counts, out=np.full(self.n_arms, np.nan), where=self.counts > 0
+        )
 
     def radius(self, counts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
         """Elementwise ``radius`` at this run's K and delta.

@@ -204,7 +204,14 @@ def sample_sums(
     With ``n_rounds = 1`` the stream and the result equal ``sample_block``'s
     single row bit for bit.
     """
-    arm_indices = _checked_arms(instance, arm_indices)
+    return _sample_sums(instance, _checked_arms(instance, arm_indices), n_rounds, rng)
+
+
+def _sample_sums(
+    instance: Instance, arm_indices: np.ndarray, n_rounds: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``sample_sums`` without the index check: ``arm_indices`` must be an
+    int array of valid arms.  Runs draw through this form."""
     z = rng.standard_normal(arm_indices.size)
     return (
         n_rounds * instance.means[arm_indices]

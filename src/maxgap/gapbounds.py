@@ -113,27 +113,38 @@ def _right_gaps(l: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     An anchor at sorted-``l`` position ``j`` is worth ``min r`` over the arms
     whose left endpoint lies strictly above ``ls[j]``, minus ``ls[j]``: that
-    does not depend on the arm being bounded, so one length-K vector holds
-    every anchor value, and an arm's bound is its range max over the anchors
-    in ``[l_a, r_a]``.  The exception is the top tie group of ``l``, where
-    nothing is forced right and the gap is the largest *other* upper endpoint
-    minus ``max l``; that tail term is added per arm.  Each range keeps at
-    least the arm's own anchor, so crossed envelopes (l > r) stay defined.
+    does not depend on the arm being bounded, so one vector holds every
+    anchor value, and an arm's bound is its range max over the anchors in
+    ``[l_a, r_a]``.  On the top tie group of ``l`` nothing is forced right,
+    so the largest upper endpoint caps the gap: the suffix-min buffer ends in
+    ``max r`` and those anchors are worth ``max r - max l``.  Only the arm
+    holding ``max r`` must exclude itself there, and it alone is fixed up.
+    Each range keeps at least the arm's own anchor, so crossed envelopes
+    (l > r) stay defined.
     """
-    order = np.argsort(l, kind="stable")
+    k = l.size
+    order = l.argsort(kind="stable")
     ls = l[order]
-    sufmin_r = np.append(np.minimum.accumulate(r[order][::-1])[::-1], -np.inf)
-    # anchor values, -inf on the top tie group, plus a sentinel so ranges may end at K
-    vals = np.append(sufmin_r[np.searchsorted(ls, ls, side="right")] - ls, -np.inf)
-    lo = np.searchsorted(ls, l, side="left")
-    hi = np.maximum(np.searchsorted(ls, r, side="right"), lo + 1)
-    ud = np.maximum.reduceat(vals, np.column_stack((lo, hi)).ravel())[::2]
-
-    top = np.argmax(r)
-    maxr_excl = np.full_like(r, r[top])
-    maxr_excl[top] = np.delete(r, top).max()
-    reaches_top = hi > np.searchsorted(ls, ls[-1], side="left")
-    return np.maximum(ud, np.where(reaches_top, maxr_excl - ls[-1], -np.inf))
+    top = r.argmax()
+    # suffix min of r in sorted-l order, then the anchor values in place;
+    # slot k is both the top group's cap and the end that ranges may reach
+    vals = np.empty(k + 1)
+    vals[k] = r[top]
+    np.minimum.accumulate(r[order[::-1]], out=vals[k - 1::-1])
+    np.subtract(vals[ls.searchsorted(ls, "right")], ls, out=vals[:k])
+    lo = ls.searchsorted(l)
+    hi = ls.searchsorted(r, "right")
+    np.maximum(hi, lo + 1, out=hi)
+    bounds = np.empty(2 * k, dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    # a compact copy: run records keep it, and a view would pin all 2k values
+    ud = np.maximum.reduceat(vals, bounds)[::2].copy()
+    top_group = ls.searchsorted(ls[-1])
+    if hi[top] > top_group:  # the arm holding max r reaches the top group
+        r_excl = max(r[:top].max(initial=-np.inf), r[top + 1 :].max(initial=-np.inf))
+        ud[top] = max(vals[lo[top] : top_group].max(initial=-np.inf), r_excl - ls[-1])
+    return ud
 
 
 def upper_gaps(l: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -393,6 +393,9 @@ class TestCliRun:
             ("run", "--out", "out", "flag.csv"),
             ("run", "--sigma", "sigma", 0.5),
             ("run", "--instance", "instance", "two-gap"),
+            ("profile", "--seed", "seed", 7),
+            ("profile", "--delta", "delta", 0.05),
+            ("hardness", "--delta", "delta", 0.05),
             ("hardness", "--alpha", "alpha", 3.5),
         ],
     )
@@ -420,11 +423,35 @@ class TestCliRun:
             cli, "_apply_overrides", lambda c, a: seen.append(apply_overrides(c, a)) or seen[-1]
         )
         monkeypatch.setattr(cli, "run_experiment", lambda config: [])
+        monkeypatch.setattr(cli, "allocation_profile", lambda config: [])
         assert main([command, "--config", str(cfg_path), flag, str(value)]) == 0
         expected = replace(load_config(str(cfg_path)), **{name: value})
         if name == "instance":
             expected = replace(expected, instance_params={})
         assert seen == [expected]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--trials", "9"],
+            ["hardness", "--trials", "7", "--seed", "5"],
+            ["hardness", "--seed", "5"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        # profile runs one trial and hardness draws nothing, so these flags
+        # would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert all(flag in err for flag in argv[1::2])
+
+    def test_every_flag_names_a_config_field(self):
+        names = {f.name for f in fields(ExperimentConfig)} | {"config"}
+        for command, flags in cli._COMMAND_FLAGS.items():
+            assert set(flags) <= names, command
 
     def test_streetview_scale_means_file(self, tmp_path):
         p = tmp_path / "sv.txt"

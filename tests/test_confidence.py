@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestUpdate:
         tracker.add(np.array([1, 1]), 2, np.array([0.5, 0.25]))
         assert tracker.counts.tolist() == [3, 10, 3, 0]
         assert tracker.sums.tolist() == [1.5, 6.75, -3.0, 0.0]
+
+    def test_means_nan_before_first_sample_without_warnings(self):
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(tracker.means).all()
+            tracker.add(np.array([0, 2]), 4, np.array([2.0, -1.0]))
+            means = tracker.means
+        assert means[[0, 2]].tolist() == [0.5, -0.25]
+        assert np.isnan(means[[1, 3]]).all()
+        assert means is not tracker.means  # a fresh array per read
 
 
 class TestCoverage:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxgap import cli
-from maxgap.algorithms import RunConfig, max_gap_elim
+from maxgap.algorithms import RunConfig, max_gap_elim, max_gap_ucb
 from maxgap.env import ArmSpec, Instance, build_two_gap_instance
 from maxgap.gapbounds import (
     IntervalSnapshot,
@@ -91,7 +91,8 @@ class TestUpperGap:
         # generic intervals at K 3..8, then each ``verify-bounds`` stress
         # pattern (degenerate points, identical and nested intervals among
         # them) twice at K up to 90, where ties reach the top of the order
-        # and anchor ranges span most arms
+        # and anchor ranges span most arms.  Both paths subtract the same
+        # two endpoints and take exact maxima, so they agree bit for bit.
         rng = np.random.default_rng(9)
         snapshots = [random_snapshot(rng, int(rng.integers(3, 9))) for _ in range(50)]
         snapshots += [
@@ -100,12 +101,21 @@ class TestUpperGap:
             for pattern in range(12)
         ]
         for s in snapshots:
+            assert_scalar_equal(s)
+
+    def test_scalar_matches_recorded_k90_rows(self, streetview_scale_instance):
+        # envelopes a UCB run records at K=90 with bounds checked every
+        # round (budget 30k), read at 16 rounds spread over the run
+        config = RunConfig(delta=0.1, budget_cap=30_000)
+        rng = np.random.Generator(np.random.PCG64(0))
+        trace = max_gap_ucb(streetview_scale_instance, config, rng)
+        rows = np.linspace(0, trace.round_index.size - 1, 16).astype(int)
+        for i in rows:
+            s = snap(trace.env_l[i], trace.env_r[i])
+            assert_scalar_equal(s)
             udr, udl = upper_gaps(s.l, s.r)
-            for a in range(s.n_arms):
-                sr, sl, sm = upper_gap(a, s)
-                assert sr == pytest.approx(udr[a], abs=1e-12)
-                assert sl == pytest.approx(udl[a], abs=1e-12)
-                assert sm == pytest.approx(max(sr, sl))
+            assert np.array_equal(udr, trace.upper_right[i])
+            assert np.array_equal(udl, trace.upper_left[i])
 
     def test_shared_maximum(self):
         rng = np.random.default_rng(10)
@@ -146,6 +156,14 @@ class TestUpperGap:
             assert np.all(np.maximum(udr, udl) >= inst.gaps - 1e-12)
 
 
+def assert_scalar_equal(s):
+    """The scalar ``upper_gap`` of every arm equals ``upper_gaps`` exactly."""
+    udr, udl = upper_gaps(s.l, s.r)
+    for a in range(s.n_arms):
+        sr, sl, sm = upper_gap(a, s)
+        assert (sr, sl, sm) == (udr[a], udl[a], max(udr[a], udl[a]))
+
+
 def anchor_loop_right(l, r):
     """Right gap bounds by ``right_anchor_gap``'s rule on raw arrays.
 
@@ -179,8 +197,8 @@ class TestCrossedEnvelopes:
         for l, r, udr, udl in zip(
             trace.env_l, trace.env_r, trace.upper_right, trace.upper_left
         ):
-            assert np.abs(anchor_loop_right(l, r) - udr).max() <= 1e-12
-            assert np.abs(anchor_loop_right(-r, -l) - udl).max() <= 1e-12
+            assert np.array_equal(anchor_loop_right(l, r), udr)
+            assert np.array_equal(anchor_loop_right(-r, -l), udl)
 
     def test_forced_crossings_match_anchor_loop(self):
         # one arm per snapshot swapped to l > r; when that arm held the
@@ -192,8 +210,48 @@ class TestCrossedEnvelopes:
             a = int(rng.integers(k))
             l[a], r[a] = r[a] + rng.uniform(0.0, 0.3), l[a]
             udr, udl = upper_gaps(l, r)
-            assert np.abs(anchor_loop_right(l, r) - udr).max() <= 1e-12
-            assert np.abs(anchor_loop_right(-r, -l) - udl).max() <= 1e-12
+            assert np.array_equal(anchor_loop_right(l, r), udr)
+            assert np.array_equal(anchor_loop_right(-r, -l), udl)
+
+
+class TestInputsAndOutputs:
+    """Runs keep each check's bound arrays by reference in their records, so
+    the kernels may neither write to their inputs nor hand back a buffer
+    that a later call reuses, and what they return holds only its own k
+    values."""
+
+    @staticmethod
+    def frozen(*arrays):
+        """Read-only copies: a kernel that writes to one raises."""
+        out = []
+        for a in arrays:
+            a = np.array(a, dtype=float)
+            a.flags.writeable = False
+            out.append(a)
+        return out
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(16)
+        for i in range(60):
+            k = int(rng.integers(3, 91))
+            l, r = cli._random_snapshot(rng, k, i)
+            if i % 5 == 0:  # a crossed arm
+                a = int(rng.integers(k))
+                l[a], r[a] = r[a] + 0.1, l[a]
+            l, r, means = self.frozen(l, r, (l + r) / 2)
+            upper_gaps(l, r)
+            lower_max_gap(l, r, means)
+
+    def test_each_call_returns_new_arrays(self):
+        rng = np.random.default_rng(17)
+        l, r = self.frozen(*cli._random_snapshot(rng, 90, 0))
+        first = upper_gaps(l, r)
+        second = upper_gaps(l, r)
+        arrays = (l, r, *first, *second)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert all(u.flags.owndata and u.flags.c_contiguous for u in first)
 
 
 class TestBruteForceOracle:
