@@ -56,6 +56,22 @@ __all__ = [
     "ALGORITHMS",
 ]
 
+RECORD_BLOCK = 256  # records per block of the run's record buffers
+
+# The per-record fields of ``RunTrace`` in ``_Run.record``'s row order, each
+# with its dtype and whether a record holds one value per arm.
+_RECORD_FIELDS = (
+    ("round_index", np.int64, False),
+    ("counts", np.int64, True),
+    ("upper_right", float, True),
+    ("upper_left", float, True),
+    ("lower", float, False),
+    ("env_l", float, True),
+    ("env_r", float, True),
+    ("sampled", bool, True),
+    ("active", bool, True),
+)
+
 
 def _require_int(name: str, value) -> int:
     """``value`` as an int; a bool or a non-integral number is a ``ValueError``
@@ -190,13 +206,17 @@ def report_clusters(
     order = _descending_order(means)
     s = means[order]
     gaps = s[:-1] - s[1:]
-    split = int(np.argmax(gaps))  # first max -> smallest top cluster
+    split = int(gaps.argmax())  # first max -> smallest top cluster
     return _split_order(order, split + 1)
 
 
 class _Run:
     """Shared bookkeeping: the recompute schedule, sampling blocks, budget
-    cap, checkpoints, the bounds of the last check and the records."""
+    cap, checkpoints, the bounds of the last check and the records.
+
+    Records are written row by row into per-field blocks of ``RECORD_BLOCK``
+    rows; ``finish`` joins each field's blocks once.
+    """
 
     def __init__(self, instance: Instance, config: RunConfig, rng: np.random.Generator):
         if config.budget_cap < instance.n_arms:
@@ -211,7 +231,18 @@ class _Run:
         self.degenerate_rounds = 0
         self._pending = list(reversed(config.checkpoints))  # next checkpoint last
         self.checkpoint_records: list[CheckpointRecord] = []
-        self._rows: list[tuple] = []
+        self._blocks: list[list[np.ndarray]] = [[] for _ in _RECORD_FIELDS]
+        self._new_block()
+
+    def _new_block(self) -> None:
+        k = self.instance.n_arms
+        self._block = tuple(
+            np.empty((RECORD_BLOCK, k) if per_arm else RECORD_BLOCK, dtype)
+            for _, dtype, per_arm in _RECORD_FIELDS
+        )
+        for blocks, block in zip(self._blocks, self._block):
+            blocks.append(block)
+        self._row = 0
 
     # -- sampling ---------------------------------------------------------
 
@@ -274,12 +305,17 @@ class _Run:
 
     def record(self, active: Optional[np.ndarray] = None) -> None:
         """Record the last check, ``sampled`` and ``active`` (default ``sampled``)."""
+        if self._row == RECORD_BLOCK:
+            self._new_block()
         tr = self.tracker
-        self._rows.append((
-            self.t, tr.counts.copy(), self.udr, self.udl, self.lb,
-            tr.l_env.copy(), tr.r_env.copy(), self.sampled,
-            self.sampled if active is None else active.copy(),
-        ))
+        row = (
+            self.t, tr.counts, self.udr, self.udl, self.lb, tr.l_env, tr.r_env,
+            self.sampled, self.sampled if active is None else active,
+        )
+        i = self._row
+        for block, value in zip(self._block, row):
+            block[i] = value
+        self._row = i + 1
 
     def finish(
         self,
@@ -294,26 +330,16 @@ class _Run:
             clusters = report_clusters(self.tracker.means)
         while self._pending:
             self._record_checkpoint(self._pending.pop())
-        k = self.instance.n_arms
-        round_, counts, udr, udl, lb, env_l, env_r, sampled, active = (
-            list(zip(*self._rows)) or [()] * 9
-        )
-
-        def stack(rows, dtype=float):
-            return np.array(rows, dtype=dtype).reshape(-1, k)
-
+        self._block = ()
+        records = {}
+        for (name, _, _), blocks in zip(_RECORD_FIELDS, self._blocks):
+            blocks[-1] = blocks[-1][: self._row]
+            records[name] = np.concatenate(blocks)  # a fresh array pins no block
+            blocks.clear()  # frees this field's blocks before the next is joined
         return RunTrace(
             algorithm=algorithm,
-            n_arms=k,
-            round_index=np.array(round_, dtype=np.int64),
-            counts=stack(counts, np.int64),
-            upper_right=stack(udr),
-            upper_left=stack(udl),
-            lower=np.array(lb, dtype=float),
-            env_l=stack(env_l),
-            env_r=stack(env_r),
-            sampled=stack(sampled, bool),
-            active=stack(active, bool),
+            n_arms=self.instance.n_arms,
+            **records,
             stop_round=self.t,
             total_samples=self.total,
             stopped_by=stopped_by,
@@ -341,7 +367,7 @@ def _bound_driven(
     run = _Run(instance, config, rng)
     current = np.ones(instance.n_arms, dtype=bool)
     while True:
-        if not run.step(np.flatnonzero(current)):
+        if not run.step(current.nonzero()[0]):
             run.record()
             return run.finish(algorithm, "budget")
         nxt, stopped_by = select(run, current)
@@ -370,7 +396,8 @@ def _elim_select(run: _Run, active: np.ndarray) -> tuple[np.ndarray, Optional[st
 
 
 def _ucb_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
-    top_set = run.ud == run.ud.max()  # exact ties: shared witnesses give equal floats
+    # exact ties: shared witnesses give equal floats
+    top_set = run.ud == np.maximum.reduce(run.ud)
     k = run.instance.n_arms
     top_two = int(np.partition(run.tracker.counts, k - 2)[k - 2 :].sum())
     dominant = top_two >= run.config.ucb_stop_factor * (run.total - top_two)
@@ -379,12 +406,12 @@ def _ucb_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[st
 
 def _top2_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
     ud = run.ud
-    top_set = ud == ud.max()
+    top_set = ud == np.maximum.reduce(ud)
     rest = ~top_set
     if not rest.any():
         run.degenerate_rounds += 1
         return top_set, None
-    second = ud[rest].max()
+    second = np.maximum.reduce(ud[rest])
     return top_set | (rest & (ud == second)), "rule" if second < run.lb else None
 
 

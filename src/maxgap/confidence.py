@@ -97,9 +97,12 @@ def update(
 class IntervalTracker:
     """Vectorized counts, sums, and intervals for all arms of one run.
 
-    ``add`` accumulates per-arm block sums; ``refresh`` recomputes raw
-    intervals and tightens the envelopes for every sampled arm.  Matches the
-    scalar ``update`` path arm-for-arm when refreshed after every sample.
+    ``add`` accumulates per-arm block sums and marks the arms it touched;
+    ``refresh`` recomputes the raw intervals and tightens the envelopes of
+    those arms only.  An untouched arm's interval is unchanged, and tightening
+    an envelope by the same interval again is a no-op, so this equals a
+    recompute over every sampled arm.  Matches the scalar ``update`` path
+    arm-for-arm when refreshed after every sample.
     """
 
     def __init__(self, n_arms: int, sigmas: np.ndarray, delta: float):
@@ -114,15 +117,17 @@ class IntervalTracker:
         self.r_raw = np.full(n_arms, np.inf)
         self.l_env = np.full(n_arms, -np.inf)
         self.r_env = np.full(n_arms, np.inf)
+        self._touched = np.zeros(n_arms, dtype=bool)  # added to since the last refresh
 
     def add(self, arm_indices: np.ndarray, n_rounds: int, sums: np.ndarray) -> None:
-        """Accumulate ``n_rounds`` draws per listed arm, totalling ``sums``.
+        """Accumulate ``n_rounds >= 1`` draws per listed arm, totalling ``sums``.
 
         Indices may repeat (an arm drawn twice per round); contributions
         accumulate per occurrence.
         """
         np.add.at(self.counts, arm_indices, n_rounds)
         np.add.at(self.sums, arm_indices, sums)
+        self._touched[arm_indices] = True
 
     @property
     def means(self) -> np.ndarray:
@@ -141,14 +146,17 @@ class IntervalTracker:
         )
 
     def refresh(self) -> None:
-        sampled = self.counts > 0
-        s = self.counts[sampled].astype(float)
-        c = self.radius(s, self.sigmas[sampled])
-        mean = self.sums[sampled] / s
-        self.l_raw[sampled] = mean - c
-        self.r_raw[sampled] = mean + c
-        np.maximum(self.l_env, self.l_raw, out=self.l_env)
-        np.minimum(self.r_env, self.r_raw, out=self.r_env)
+        arms = self._touched.nonzero()[0]
+        self._touched.fill(False)
+        s = self.counts[arms].astype(float)
+        c = self.radius(s, self.sigmas[arms])
+        mean = self.sums[arms] / s
+        l = mean - c
+        r = mean + c
+        self.l_raw[arms] = l
+        self.r_raw[arms] = r
+        self.l_env[arms] = np.maximum(self.l_env[arms], l)
+        self.r_env[arms] = np.minimum(self.r_env[arms], r)
 
     def contains_truth(self, instance: Instance) -> bool:
         """The good event: every true mean lies inside its envelope, which is

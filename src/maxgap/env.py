@@ -32,9 +32,9 @@ __all__ = [
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices by descending value, ties by ascending index: the one arm
-    order of the package (``lexsort`` is stable)."""
-    return np.lexsort((np.arange(values.size), -values))
+    """Indices by descending value, ties by ascending index (a stable sort),
+    ``nan`` last: the one arm order of the package."""
+    return (-values).argsort(kind="stable")
 
 
 def _split_order(order: np.ndarray, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -138,12 +138,17 @@ def _right_gaps(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     bounds = np.empty(2 * k, dtype=np.intp)
     bounds[0::2] = lo
     bounds[1::2] = hi
-    # a compact copy: run records keep it, and a view would pin all 2k values
+    # a compact copy: a caller that keeps it does not pin all 2k values
     ud = np.maximum.reduceat(vals, bounds)[::2].copy()
     top_group = ls.searchsorted(ls[-1])
     if hi[top] > top_group:  # the arm holding max r reaches the top group
-        r_excl = max(r[:top].max(initial=-np.inf), r[top + 1 :].max(initial=-np.inf))
-        ud[top] = max(vals[lo[top] : top_group].max(initial=-np.inf), r_excl - ls[-1])
+        r_excl = max(
+            np.maximum.reduce(r[:top], initial=-np.inf),
+            np.maximum.reduce(r[top + 1 :], initial=-np.inf),
+        )
+        ud[top] = max(
+            np.maximum.reduce(vals[lo[top] : top_group], initial=-np.inf), r_excl - ls[-1]
+        )
     return ud
 
 
@@ -182,13 +187,12 @@ def lower_max_gap(
     prefmin = np.minimum.accumulate(l_ord)
     sufmax = np.maximum.accumulate(r_ord[::-1])[::-1]
     vals = prefmin[:-1] - sufmax[1:]
-    split = int(np.argmax(vals))  # first max -> smallest top group
+    split = int(vals.argmax())  # first max -> smallest top group
     bound = float(vals[split])
 
     # witnesses: argmin of l in the top prefix, argmax of r in the bottom suffix
-    top_w = int(order[np.argmin(l_ord[: split + 1])])
-    bot_rel = np.argmax(r_ord[split + 1 :])
-    bot_w = int(order[split + 1 + bot_rel])
+    top_w = int(order[l_ord[: split + 1].argmin()])
+    bot_w = int(order[split + 1 + r_ord[split + 1 :].argmax()])
     return bound, split + 1, (top_w, bot_w)
 
 

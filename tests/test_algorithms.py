@@ -4,6 +4,7 @@ import pytest
 from conftest import check_elimination_monotone, check_trace_invariants
 from maxgap.algorithms import (
     ALGORITHMS,
+    RECORD_BLOCK,
     RunConfig,
     max_gap_elim,
     max_gap_top2_ucb,
@@ -381,3 +382,68 @@ class TestCheckpointSemantics:
         # checkpoints past the stop inherit the final clustering
         assert trace.checkpoints[-1].clusters == trace.clusters
         assert trace.checkpoints[-1].total_samples == trace.total_samples
+
+
+RECORD_ARRAYS = (
+    "round_index", "counts", "upper_right", "upper_left", "lower",
+    "env_l", "env_r", "sampled", "active",
+)
+
+
+def record_layout(trace):
+    return {n: (getattr(trace, n).shape, getattr(trace, n).dtype) for n in RECORD_ARRAYS}
+
+
+def expected_layout(n_records, k):
+    wide = lambda dtype: ((n_records, k), np.dtype(dtype))  # noqa: E731
+    return {
+        "round_index": ((n_records,), np.dtype(np.int64)),
+        "counts": wide(np.int64),
+        "upper_right": wide(float),
+        "upper_left": wide(float),
+        "lower": ((n_records,), np.dtype(float)),
+        "env_l": wide(float),
+        "env_r": wide(float),
+        "sampled": wide(bool),
+        "active": wide(bool),
+    }
+
+
+class TestRecordBuffers:
+    """Records are written into fixed-size blocks and joined once per field."""
+
+    def test_more_records_than_one_block(self):
+        inst = build_two_gap_instance()
+        cfg = RunConfig(delta=0.1, budget_cap=6_000)
+        trace = max_gap_ucb(inst, cfg, np.random.default_rng(3))
+        n = trace.round_index.size
+        assert trace.stopped_by == "budget" and n > 2 * RECORD_BLOCK
+        assert record_layout(trace) == expected_layout(n, inst.n_arms)
+        # rows on both sides of each block boundary hold their own rounds; the
+        # last record repeats the round at which the cap left nothing to draw
+        assert np.all(np.diff(trace.round_index[:-1]) > 0)
+        assert trace.round_index[-1] == trace.round_index[-2] == trace.stop_round
+        assert np.array_equal(trace.counts[-1], trace.final_counts)
+        assert np.all(np.diff(trace.counts.sum(axis=1)[:-1]) > 0)
+        check_trace_invariants(trace, inst)
+
+    def test_uniform_has_no_records(self):
+        inst = noiseless_013()
+        trace = uniform_baseline(inst, RunConfig(budget_cap=300), np.random.default_rng(0))
+        assert record_layout(trace) == expected_layout(0, inst.n_arms)
+
+    def test_traces_own_compact_unshared_arrays(self):
+        inst = build_two_gap_instance()
+        cfg = RunConfig(delta=0.1, budget_cap=6_000)
+        first = max_gap_ucb(inst, cfg, np.random.default_rng(3))
+        later = max_gap_top2_ucb(inst, cfg, np.random.default_rng(4))
+        empty = uniform_baseline(inst, cfg, np.random.default_rng(5))
+        short = max_gap_elim(noiseless_013(), cfg, np.random.default_rng(6))
+        assert 0 < short.round_index.size < RECORD_BLOCK
+        traces = (first, later, empty, short)
+        arrays = [getattr(t, n) for t in traces for n in RECORD_ARRAYS]
+        # owned data: a trace holds no view into a record block
+        assert all(a.flags.c_contiguous and a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)

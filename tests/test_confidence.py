@@ -13,6 +13,7 @@ from maxgap.confidence import (
     radius,
     update,
 )
+from maxgap.algorithms import RunConfig, _Run
 from maxgap.env import ArmSpec, Instance
 
 
@@ -190,3 +191,92 @@ class TestCoverage:
             if not np.all((l_env <= means) & (means <= r_env)):
                 fails += 1
         assert fails / trials <= delta
+
+
+def refresh_every_sampled_arm(tracker):
+    """Reference refresh: recompute every arm with counts > 0 from scratch."""
+    sampled = tracker.counts > 0
+    s = tracker.counts[sampled].astype(float)
+    c = tracker.radius(s, tracker.sigmas[sampled])
+    mean = tracker.sums[sampled] / s
+    tracker.l_raw[sampled] = mean - c
+    tracker.r_raw[sampled] = mean + c
+    np.maximum(tracker.l_env, tracker.l_raw, out=tracker.l_env)
+    np.minimum(tracker.r_env, tracker.r_raw, out=tracker.r_env)
+
+
+def assert_same_intervals(a, b):
+    for name in ("counts", "sums", "l_raw", "r_raw", "l_env", "r_env"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestTouchedArmRefresh:
+    """``refresh`` recomputes only the arms added to since the last refresh,
+    and must leave every interval bitwise equal to a full recompute."""
+
+    def pair(self, k=7):
+        sigmas = np.linspace(0.5, 2.0, k)
+        return IntervalTracker(k, sigmas, 0.05), IntervalTracker(k, sigmas, 0.05)
+
+    def test_mixed_adds_match_full_recompute(self):
+        rng = np.random.default_rng(31)
+        fast, ref = self.pair()
+        for _ in range(300):
+            # arms 5 and 6 are never sampled; repeats are allowed
+            arms = rng.integers(0, 5, size=int(rng.integers(1, 7)))
+            n_rounds = int(rng.integers(1, 40))
+            sums = rng.normal(size=arms.size) * n_rounds
+            for t in (fast, ref):
+                t.add(arms, n_rounds, sums)
+            if rng.random() < 0.6:
+                fast.refresh()
+                refresh_every_sampled_arm(ref)
+                assert_same_intervals(fast, ref)
+        assert np.all(fast.counts[5:] == 0)
+        assert np.all(fast.l_raw[5:] == -np.inf) and np.all(fast.r_env[5:] == np.inf)
+
+    def test_block_split_over_add_chunks(self):
+        # a checkpoint split: one block reaches the tracker as several adds
+        fast, ref = self.pair()
+        arms = np.array([0, 2, 3])
+        fast.add(arms, 5, np.array([1.0, -2.0, 0.5]))
+        ref.add(arms, 5, np.array([1.0, -2.0, 0.5]))
+        fast.refresh()
+        refresh_every_sampled_arm(ref)
+        for n_rounds, sums in ((3, [0.2, 0.1, -0.4]), (7, [2.0, -1.0, 3.0]), (1, [0.0, 0.3, 0.1])):
+            fast.add(arms, n_rounds, np.array(sums))
+            ref.add(arms, n_rounds, np.array(sums))
+        fast.refresh()
+        refresh_every_sampled_arm(ref)
+        assert_same_intervals(fast, ref)
+
+    def test_refresh_without_add_changes_nothing(self):
+        fast, ref = self.pair()
+        fast.add(np.array([1, 1, 4]), 2, np.array([0.5, -0.5, 3.0]))
+        ref.add(np.array([1, 1, 4]), 2, np.array([0.5, -0.5, 3.0]))
+        fast.refresh()
+        refresh_every_sampled_arm(ref)
+        before = {n: getattr(fast, n).copy() for n in ("l_raw", "r_raw", "l_env", "r_env")}
+        fast.refresh()
+        refresh_every_sampled_arm(ref)
+        assert_same_intervals(fast, ref)
+        for name, value in before.items():
+            assert np.array_equal(getattr(fast, name), value), name
+
+    def test_uniform_single_refresh_after_checkpoint_splits(self):
+        # uniform_baseline's shape: one advance split at every checkpoint,
+        # then a single refresh
+        inst = Instance(tuple(ArmSpec(m, 1.0) for m in [0.0, 0.4, 1.5, 1.7, 3.0]))
+        cfg = RunConfig(delta=0.1, budget_cap=1000, checkpoints=(7, 52, 300, 640))
+        run = _Run(inst, cfg, np.random.default_rng(4))
+        adds = []
+        add = run.tracker.add
+        run.tracker.add = lambda *args: (adds.append(args), add(*args))
+        run.advance(np.arange(inst.n_arms), cfg.budget_cap // inst.n_arms)
+        assert len(adds) == 5
+        ref = IntervalTracker(inst.n_arms, inst.sigmas, cfg.delta)
+        for args in adds:
+            ref.add(*args)
+        run.tracker.refresh()
+        refresh_every_sampled_arm(ref)
+        assert_same_intervals(run.tracker, ref)

@@ -17,6 +17,7 @@ from maxgap.env import (
     sample_block,
     sample_sums,
 )
+from maxgap.env import _descending_order  # private: the package's one arm order
 
 
 def make_instance(means, sigma=1.0):
@@ -94,6 +95,18 @@ def test_gap_properties_random_instances(means):
         assert inst.gaps[arm] == pytest.approx(max(sides))
     # clusters partition the arms
     assert sorted(inst.top_cluster + inst.bottom_cluster) == list(range(len(means)))
+
+
+_SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPECIAL_VALUES | st.floats(), min_size=1, max_size=40))
+def test_descending_order_matches_two_key_lexsort(values):
+    # ties, +-0.0, +-inf and nan: one stable argsort of -v is the arm order
+    # "descending value, ties by ascending index, nan last"
+    v = np.array(values, dtype=float)
+    assert np.array_equal(_descending_order(v), np.lexsort((np.arange(v.size), -v)))
 
 
 class TestSampling:

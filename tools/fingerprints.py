@@ -7,7 +7,8 @@
 ``run.fingerprints`` from ``<checkout>/perfbench``.  The script runs trials
 0..N-1 of every workload, trial i on the benchmark's trial seed
 ``run.trial_seed(S, i)`` (S defaults to 0, where that seed is i), plus the
-two ``elim-sweep`` seeds whose runs hit the bad event.  It prints one line
+``EXTRA`` runs: two ``elim-sweep`` seeds whose runs hit the bad event and
+four ``anytime-sweep`` seeds with a rule stop.  It prints one line
 per algorithm run: workload, trial seed, algorithm, ``RunTrace.fingerprint()``,
 the sha256 of the trial's anytime CSV (``-`` on workloads that write none),
 and the problems the workload's ``problems()`` gate found for that run,
@@ -30,8 +31,14 @@ import sys
 import tempfile
 
 # (workload, trial seed) runs beyond seeds 0..N-1: two-gap elimination runs
-# whose envelopes cross after the good event fails.
-EXTRA = (("elim-sweep", 10400017), ("elim-sweep", 10900048))
+# whose envelopes cross after the good event fails, then anytime-sweep trials
+# whose UCB runs stop by the rule: wrong after a bad event at 600288, 1200207
+# and 1600026, right at 900240.
+EXTRA = (
+    ("elim-sweep", 10400017), ("elim-sweep", 10900048),
+    ("anytime-sweep", 600288), ("anytime-sweep", 900240),
+    ("anytime-sweep", 1200207), ("anytime-sweep", 1600026),
+)
 
 
 def main(argv=None) -> int:
