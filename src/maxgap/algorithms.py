@@ -274,15 +274,23 @@ class _Run:
                 self._record_checkpoint(self._pending.pop())
         return done, np.zeros(m) if sums is None else sums
 
-    def step(self, arms: np.ndarray, n_rounds: Optional[int] = None) -> bool:
+    def step(
+        self,
+        arms: np.ndarray,
+        n_rounds: Optional[int] = None,
+        sampled: Optional[np.ndarray] = None,
+    ) -> bool:
         """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``),
-        keeping ``sampled`` (their mask), ``block_rounds`` and ``block_sums``,
-        and ``check`` there.  False when the budget cap cut the block short."""
+        keeping ``sampled`` (their mask, built unless given), ``block_rounds``
+        and ``block_sums``, and ``check`` there.  False when the budget cap cut
+        the block short."""
         if n_rounds is None:  # growth 1.0 checks every round
             n_rounds = max(1, int(self.t * self.config.check_growth) - self.t)
         self.block_rounds, self.block_sums = self.advance(arms, n_rounds)
-        self.sampled = np.zeros(self.instance.n_arms, dtype=bool)
-        self.sampled[arms] = True
+        if sampled is None:
+            sampled = np.zeros(self.instance.n_arms, dtype=bool)
+            sampled[arms] = True
+        self.sampled = sampled
         self.check()
         return self.block_rounds == n_rounds
 
@@ -367,7 +375,7 @@ def _bound_driven(
     run = _Run(instance, config, rng)
     current = np.ones(instance.n_arms, dtype=bool)
     while True:
-        if not run.step(current.nonzero()[0]):
+        if not run.step(current.nonzero()[0], sampled=current):
             run.record()
             return run.finish(algorithm, "budget")
         nxt, stopped_by = select(run, current)
@@ -398,8 +406,9 @@ def _elim_select(run: _Run, active: np.ndarray) -> tuple[np.ndarray, Optional[st
 def _ucb_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
     # exact ties: shared witnesses give equal floats
     top_set = run.ud == np.maximum.reduce(run.ud)
-    k = run.instance.n_arms
-    top_two = int(np.partition(run.tracker.counts, k - 2)[k - 2 :].sum())
+    counts = run.tracker.counts.copy()
+    counts.partition(counts.size - 2)
+    top_two = int(counts[-1]) + int(counts[-2])
     dominant = top_two >= run.config.ucb_stop_factor * (run.total - top_two)
     return top_set, "rule" if dominant else None
 
@@ -408,7 +417,7 @@ def _top2_select(run: _Run, current: np.ndarray) -> tuple[np.ndarray, Optional[s
     ud = run.ud
     top_set = ud == np.maximum.reduce(ud)
     rest = ~top_set
-    if not rest.any():
+    if not np.logical_or.reduce(rest):
         run.degenerate_rounds += 1
         return top_set, None
     second = np.maximum.reduce(ud[rest])

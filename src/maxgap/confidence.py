@@ -97,11 +97,11 @@ def update(
 class IntervalTracker:
     """Vectorized counts, sums, and intervals for all arms of one run.
 
-    ``add`` accumulates per-arm block sums and marks the arms it touched;
-    ``refresh`` recomputes the raw intervals and tightens the envelopes of
-    those arms only.  An untouched arm's interval is unchanged, and tightening
-    an envelope by the same interval again is a no-op, so this equals a
-    recompute over every sampled arm.  Matches the scalar ``update`` path
+    ``add`` accumulates per-arm block sums, keeps the means of the arms it
+    touched and marks them; ``refresh`` recomputes the raw intervals and
+    tightens the envelopes of those arms only.  An untouched arm's interval
+    is unchanged, and tightening an envelope by the same interval again is a
+    no-op, so this equals a recompute over every sampled arm.  Matches the scalar ``update`` path
     arm-for-arm when refreshed after every sample.
     """
 
@@ -118,6 +118,7 @@ class IntervalTracker:
         self.l_env = np.full(n_arms, -np.inf)
         self.r_env = np.full(n_arms, np.inf)
         self._touched = np.zeros(n_arms, dtype=bool)  # added to since the last refresh
+        self._means = np.full(n_arms, np.nan)  # sums / counts, nan before the first sample
 
     def add(self, arm_indices: np.ndarray, n_rounds: int, sums: np.ndarray) -> None:
         """Accumulate ``n_rounds >= 1`` draws per listed arm, totalling ``sums``.
@@ -128,13 +129,12 @@ class IntervalTracker:
         np.add.at(self.counts, arm_indices, n_rounds)
         np.add.at(self.sums, arm_indices, sums)
         self._touched[arm_indices] = True
+        self._means[arm_indices] = self.sums[arm_indices] / self.counts[arm_indices]
 
     @property
     def means(self) -> np.ndarray:
-        """Empirical means; ``nan`` for an arm not sampled yet."""
-        return np.divide(
-            self.sums, self.counts, out=np.full(self.n_arms, np.nan), where=self.counts > 0
-        )
+        """Empirical means, a fresh array; ``nan`` for an arm not sampled yet."""
+        return self._means.copy()
 
     def radius(self, counts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
         """Elementwise ``radius`` at this run's K and delta.
@@ -148,9 +148,9 @@ class IntervalTracker:
     def refresh(self) -> None:
         arms = self._touched.nonzero()[0]
         self._touched.fill(False)
-        s = self.counts[arms].astype(float)
-        c = self.radius(s, self.sigmas[arms])
-        mean = self.sums[arms] / s
+        # float counts: the radius on int64 counts takes twice as long
+        c = self.radius(self.counts[arms].astype(float), self.sigmas[arms])
+        mean = self._means[arms]
         l = mean - c
         r = mean + c
         self.l_raw[arms] = l

@@ -280,3 +280,56 @@ class TestTouchedArmRefresh:
         run.tracker.refresh()
         refresh_every_sampled_arm(ref)
         assert_same_intervals(run.tracker, ref)
+
+
+class TestKeptMeans:
+    """``add`` keeps the mean of every arm it touched, which ``means`` and
+    ``refresh`` read; it must equal ``sums / counts`` bit for bit."""
+
+    @staticmethod
+    def assert_kept(tracker):
+        sampled = tracker.counts > 0
+        means = tracker.means
+        want = tracker.sums[sampled] / tracker.counts[sampled]
+        assert means[sampled].tobytes() == want.tobytes()
+        assert np.isnan(means[~sampled]).all()
+
+    def test_after_every_add_with_repeated_indices(self):
+        rng = np.random.default_rng(32)
+        tracker = IntervalTracker(7, np.ones(7), 0.05)
+        self.assert_kept(tracker)
+        for _ in range(300):
+            # arms 5 and 6 are never sampled; an index may repeat, as naive's
+            # leader and challenger gaps list a shared endpoint arm twice
+            arms = rng.integers(0, 5, size=int(rng.integers(1, 7)))
+            n_rounds = int(rng.integers(1, 40))
+            tracker.add(arms, n_rounds, rng.normal(size=arms.size) * n_rounds)
+            self.assert_kept(tracker)
+            if rng.random() < 0.5:
+                tracker.refresh()
+        assert np.isnan(tracker.means[5:]).all()
+
+    def test_naive_shared_endpoint_arm(self):
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        tracker.add(np.arange(4), 1, np.array([0.3, -0.1, 0.7, 0.2]))
+        tracker.add(np.array([0, 1, 1, 2]), 3, np.array([1.5, 2.0, 4.0, -3.0]))
+        self.assert_kept(tracker)
+        assert tracker.means[1] == (-0.1 + 6.0) / 7
+
+    def test_block_split_at_checkpoints(self):
+        inst = Instance(tuple(ArmSpec(m, 1.0) for m in [0.0, 0.4, 1.5, 1.7, 3.0]))
+        cfg = RunConfig(delta=0.1, budget_cap=1000, checkpoints=(7, 52, 300, 640))
+        run = _Run(inst, cfg, np.random.default_rng(4))
+        add = run.tracker.add
+        adds = []
+
+        def checked_add(*args):
+            add(*args)
+            adds.append(args)
+            self.assert_kept(run.tracker)
+
+        run.tracker.add = checked_add
+        run.advance(np.arange(inst.n_arms), 1)  # a checkpoint clusters every arm
+        run.advance(np.array([0, 2, 3]), 40)  # split at checkpoints 7 and 52
+        run.advance(np.arange(inst.n_arms), 150)  # split at 300 and 640
+        assert len(adds) == 7

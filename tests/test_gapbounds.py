@@ -214,6 +214,56 @@ class TestCrossedEnvelopes:
             assert np.array_equal(anchor_loop_right(-r, -l), udl)
 
 
+def tie_grid_snapshot(rng, k):
+    """Intervals on a grid of a few endpoint values, so that ``l`` and ``r``
+    tie often, at ``max r`` and at ``min l`` too; a few arms are crossed."""
+    levels = int(rng.integers(2, 6))
+    ends = rng.integers(0, levels, size=(2, k)) / 2.0
+    l, r = ends.min(axis=0), ends.max(axis=0)
+    l[rng.random(k) < 0.2] = l.min()
+    r[rng.random(k) < 0.2] = r.max()
+    # an arm holding max r, tied or alone, in or out of the top group of l;
+    # another holding min l, in or out of the bottom group of r
+    t, u = rng.choice(k, size=2, replace=False)
+    r[t] = r.max() + 0.5 * rng.integers(0, 2)
+    l[t] = l.max() if rng.random() < 0.5 else l.min()
+    l[u] = l.min() - 0.5 * rng.integers(0, 2)
+    r[u] = r.min() if rng.random() < 0.5 else r.max()
+    for a in np.flatnonzero(rng.random(k) < 0.08):
+        l[a], r[a] = r[a] + 0.5 * rng.integers(1, 3), l[a]
+    return l, r
+
+
+class TestTieGrids:
+    def test_both_sides_match_anchor_loop(self):
+        # each range must hold the one anchor of every tie group it touches
+        # that carries the group's exact value, and the arms holding max r
+        # (min l on the left side) must not cap themselves, whether or not
+        # they sit in the top tie group of l (bottom tie group of r)
+        rng = np.random.default_rng(18)
+        seen = dict.fromkeys(
+            ("max_r_in_top_l", "max_r_outside", "min_l_in_bottom_r", "min_l_outside",
+             "crossed", "tied_max_r", "lone_max_r", "tied_min_l", "lone_min_l"),
+            0,
+        )
+        for _ in range(400):
+            k = int(rng.integers(3, 41))
+            l, r = tie_grid_snapshot(rng, k)
+            holds_max_r = r == r.max()
+            holds_min_l = l == l.min()
+            in_top_l = (holds_max_r & (l == l.max())).any()
+            in_bottom_r = (holds_min_l & (r == r.min())).any()
+            seen["max_r_in_top_l" if in_top_l else "max_r_outside"] += 1
+            seen["min_l_in_bottom_r" if in_bottom_r else "min_l_outside"] += 1
+            seen["crossed"] += bool((l > r).any())
+            seen["tied_max_r" if holds_max_r.sum() > 1 else "lone_max_r"] += 1
+            seen["tied_min_l" if holds_min_l.sum() > 1 else "lone_min_l"] += 1
+            udr, udl = upper_gaps(l, r)
+            assert np.array_equal(anchor_loop_right(l, r), udr)
+            assert np.array_equal(anchor_loop_right(-r, -l), udl)
+        assert min(seen.values()) >= 40, seen
+
+
 class TestInputsAndOutputs:
     """Runs keep each check's bound arrays by reference in their records, so
     the kernels may neither write to their inputs nor hand back a buffer

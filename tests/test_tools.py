@@ -25,3 +25,22 @@ def test_fingerprints_repeatable():
     assert [parts[1] for parts in lines[9::4]] == ["600288", "900240", "1200207", "1600026"]
     assert all(parts[0] == "anytime-sweep" for parts in lines[9:])
     assert [parts[5] for parts in lines] == ["-"] * 25  # no gate problems
+
+
+def test_rule_stops_lists_wrong_stops_after_a_bad_event():
+    # trial seed 1600026 (seed 16, trial 26): both UCB variants of the
+    # anytime-sweep trial stop by their rule on the wrong split after the
+    # good event failed, the first rule stops of that seed, so the
+    # benchmark's aggregate wrong-stop rule fails from that trial on
+    cmd = [
+        sys.executable, os.path.join(ROOT, "tools", "rule_stops.py"),
+        "--root", ROOT, "--seed", "16", "--trials", "27",
+    ]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    lines = [line.split() for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0][:4] == ["trial", "trial_seed", "algorithm", "answer"]
+    assert lines[1:] == [
+        ["26", "1600026", "maxgap-ucb", "wrong", "False", "1", "1", "fails"],
+        ["26", "1600026", "maxgap-top2-ucb", "wrong", "False", "2", "2", "fails"],
+        ["first_failing_trial", "26"],
+    ]
