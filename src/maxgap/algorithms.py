@@ -282,8 +282,8 @@ class _Run:
     ) -> bool:
         """Sample ``arms`` up to the next scheduled check (or for ``n_rounds``),
         keeping ``sampled`` (their mask, built unless given), ``block_rounds``
-        and ``block_sums``, and ``check`` there.  False when the budget cap cut
-        the block short."""
+        and ``block_sums``, and ``check`` there unless the block drew nothing.
+        False when the budget cap cut the block short."""
         if n_rounds is None:  # growth 1.0 checks every round
             n_rounds = max(1, int(self.t * self.config.check_growth) - self.t)
         self.block_rounds, self.block_sums = self.advance(arms, n_rounds)
@@ -291,7 +291,8 @@ class _Run:
             sampled = np.zeros(self.instance.n_arms, dtype=bool)
             sampled[arms] = True
         self.sampled = sampled
-        self.check()
+        if self.block_rounds:
+            self.check()
         return self.block_rounds == n_rounds
 
     def _record_checkpoint(self, budget: int) -> None:
@@ -312,7 +313,10 @@ class _Run:
         self.lb, self.split_size, _ = lower_max_gap(tr.l_env, tr.r_env, tr.means)
 
     def record(self, active: Optional[np.ndarray] = None) -> None:
-        """Record the last check, ``sampled`` and ``active`` (default ``sampled``)."""
+        """Record the last check, ``sampled`` and ``active`` (default
+        ``sampled``); a block that drew nothing has no check and no record."""
+        if not self.block_rounds:
+            return
         if self._row == RECORD_BLOCK:
             self._new_block()
         tr = self.tracker

@@ -1,6 +1,6 @@
 """Per-arm empirical statistics and anytime confidence intervals.
 
-Two interval forms are maintained.  The raw interval after s samples is
+Two interval forms are defined.  The raw interval after s samples is
 ``mean_hat +- radius(s)`` with
 ``radius(s) = sigma * sqrt(2 * log(4*K*s^2/delta) / s)``, an anytime
 sub-Gaussian bound: a union bound over arms and sample counts gives
@@ -10,14 +10,13 @@ interval at every step.  (Without the factor 2 the union bound diverges and
 the coverage guarantee measurably fails.)  The monotone envelope
 keeps the running max of lower bounds and running min of upper bounds, so
 envelopes are nested over time and contain the true mean at every step exactly
-when the raw intervals always did.  Algorithms consume the envelope form; raw
-intervals remain available for diagnostics.
+when the raw intervals always did.  Only the envelopes are kept; a raw
+interval exists only inside the refresh that tightens its arm's envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .env import Instance
 
 __all__ = [
     "radius",
-    "ArmStats",
-    "IntervalState",
-    "update",
     "IntervalTracker",
 ]
 
@@ -52,57 +48,15 @@ def radius(count: int, n_arms: int, delta: float, sigma: float) -> float:
     return sigma * math.sqrt(2.0 * math.log(4.0 * n_arms * s * s / delta) / s)
 
 
-@dataclass(frozen=True)
-class ArmStats:
-    """Sample count and running sum for one arm."""
-
-    count: int = 0
-    total: float = 0.0
-
-    @property
-    def empirical_mean(self) -> float:
-        if self.count < 1:
-            raise ValueError("empirical mean undefined before the first sample")
-        return self.total / self.count
-
-
-@dataclass(frozen=True)
-class IntervalState:
-    """Raw interval [l, r] plus the monotone envelope [l_env, r_env]."""
-
-    l: float = -math.inf
-    r: float = math.inf
-    l_env: float = -math.inf
-    r_env: float = math.inf
-
-
-def update(
-    stats: ArmStats,
-    state: IntervalState,
-    new_sample: float,
-    n_arms: int,
-    delta: float,
-    sigma: float,
-) -> tuple[ArmStats, IntervalState]:
-    """Fold one sample into an arm's stats and intervals, functionally."""
-    stats2 = ArmStats(count=stats.count + 1, total=stats.total + new_sample)
-    c = radius(stats2.count, n_arms, delta, sigma)
-    mean = stats2.empirical_mean
-    l, r = mean - c, mean + c
-    return stats2, IntervalState(
-        l=l, r=r, l_env=max(state.l_env, l), r_env=min(state.r_env, r)
-    )
-
-
 class IntervalTracker:
-    """Vectorized counts, sums, and intervals for all arms of one run.
+    """Vectorized counts, sums, means and envelopes for all arms of one run.
 
     ``add`` accumulates per-arm block sums, keeps the means of the arms it
-    touched and marks them; ``refresh`` recomputes the raw intervals and
-    tightens the envelopes of those arms only.  An untouched arm's interval
-    is unchanged, and tightening an envelope by the same interval again is a
-    no-op, so this equals a recompute over every sampled arm.  Matches the scalar ``update`` path
-    arm-for-arm when refreshed after every sample.
+    touched and marks them; ``refresh`` tightens the envelopes of those arms
+    only, by ``mean +- radius``.  An untouched arm's interval is unchanged,
+    and tightening an envelope by the same interval again is a no-op, so
+    this equals a recompute over every sampled arm.  Whole runs are checked
+    against a per-arm, plain-Python reference in ``tests/test_reference_run.py``.
     """
 
     def __init__(self, n_arms: int, sigmas: np.ndarray, delta: float):
@@ -113,8 +67,6 @@ class IntervalTracker:
         self.delta = float(delta)
         self.counts = np.zeros(n_arms, dtype=np.int64)
         self.sums = np.zeros(n_arms, dtype=float)
-        self.l_raw = np.full(n_arms, -np.inf)
-        self.r_raw = np.full(n_arms, np.inf)
         self.l_env = np.full(n_arms, -np.inf)
         self.r_env = np.full(n_arms, np.inf)
         self._touched = np.zeros(n_arms, dtype=bool)  # added to since the last refresh
@@ -151,12 +103,8 @@ class IntervalTracker:
         # float counts: the radius on int64 counts takes twice as long
         c = self.radius(self.counts[arms].astype(float), self.sigmas[arms])
         mean = self._means[arms]
-        l = mean - c
-        r = mean + c
-        self.l_raw[arms] = l
-        self.r_raw[arms] = r
-        self.l_env[arms] = np.maximum(self.l_env[arms], l)
-        self.r_env[arms] = np.minimum(self.r_env[arms], r)
+        self.l_env[arms] = np.maximum(self.l_env[arms], mean - c)
+        self.r_env[arms] = np.minimum(self.r_env[arms], mean + c)
 
     def contains_truth(self, instance: Instance) -> bool:
         """The good event: every true mean lies inside its envelope, which is

@@ -21,7 +21,6 @@ __all__ = [
     "ArmSpec",
     "Instance",
     "InstanceError",
-    "sample",
     "sample_block",
     "sample_sums",
     "build_two_gap_instance",
@@ -155,18 +154,6 @@ class Instance:
         return _split_order(self.sorted_order, self.split_rank)[1]
 
 
-def sample(instance: Instance, arm_index: int, rng: np.random.Generator) -> float:
-    """Draw one reward from an arm: mean + sigma * z with z standard normal.
-
-    The draw consumes exactly one normal variate from ``rng``, so identical
-    seeds reproduce identical sample sequences.
-    """
-    if not 0 <= arm_index < instance.n_arms:
-        raise IndexError(f"arm index {arm_index} out of range [0, {instance.n_arms})")
-    arm = instance.arms[arm_index]
-    return arm.mean + arm.sigma * rng.standard_normal()
-
-
 def _checked_arms(instance: Instance, arm_indices: np.ndarray) -> np.ndarray:
     """``arm_indices`` as an int array; an index outside [0, K) is an ``IndexError``."""
     arm_indices = np.asarray(arm_indices, dtype=int)
@@ -183,8 +170,10 @@ def sample_block(
 ) -> np.ndarray:
     """Draw ``n_rounds`` rewards from each listed arm; shape (n_rounds, len(arms)).
 
-    Row i holds round i's draws in the given arm order, matching the stream a
-    per-round loop over ``sample`` would consume arm-by-arm.
+    Each draw is ``mean + sigma * z``, with ``z`` from one
+    ``rng.standard_normal((n_rounds, len(arms)))``: row i holds round i's
+    draws in the given arm order, the same values that one
+    ``rng.standard_normal()`` per draw, round by round, would give.
     """
     arm_indices = _checked_arms(instance, arm_indices)
     z = rng.standard_normal((n_rounds, arm_indices.size))

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap.confidence import (
-    ArmStats,
-    IntervalState,
-    IntervalTracker,
-    radius,
-    update,
-)
+from maxgap.confidence import IntervalTracker, radius
 from maxgap.algorithms import RunConfig, _Run
 from maxgap.env import ArmSpec, Instance
 
@@ -68,55 +62,70 @@ class TestRadius:
 
 
 class TestUpdate:
+    """Samples folded into the tracker one at a time, each followed by a refresh."""
+
     def test_first_sample(self):
-        stats, state = update(ArmStats(), IntervalState(), 0.5, 4, 0.1, 1.0)
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        tracker.add(np.array([2]), 1, np.array([0.5]))
+        tracker.refresh()
         c = radius(1, 4, 0.1, 1.0)
-        assert stats.count == 1 and stats.empirical_mean == 0.5
-        assert state.l == pytest.approx(0.5 - c) and state.r == pytest.approx(0.5 + c)
-        assert state.l_env == state.l and state.r_env == state.r
+        assert tracker.counts[2] == 1 and tracker.means[2] == 0.5
+        assert tracker.l_env[2] == pytest.approx(0.5 - c, abs=1e-12)
+        assert tracker.r_env[2] == pytest.approx(0.5 + c, abs=1e-12)
 
     def test_mean_undefined_before_first_sample(self):
-        with pytest.raises(ValueError):
-            ArmStats().empirical_mean
+        # no mean and no interval before an arm's first sample: a refresh
+        # leaves its envelope unbounded
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        tracker.add(np.array([0]), 3, np.array([1.0]))
+        tracker.refresh()
+        assert np.isnan(tracker.means[1:]).all()
+        assert np.all(tracker.l_env[1:] == -np.inf) and np.all(tracker.r_env[1:] == np.inf)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=60)
     )
     def test_envelopes_monotone_and_nested(self, xs):
-        stats, state = ArmStats(), IntervalState()
-        history = []
-        for x in xs:
-            prev = state
-            stats, state = update(stats, state, x, 4, 0.1, 1.0)
-            assert state.l_env >= prev.l_env
-            assert state.r_env <= prev.r_env
-            history.append(state)
-        # envelope lies inside every historical raw interval
-        final = history[-1]
-        for st_ in history:
-            assert final.l_env >= st_.l - 1e-12
-            assert final.r_env <= st_.r + 1e-12
+        tracker = IntervalTracker(4, np.ones(4), delta=0.1)
+        raw = []  # each refresh's interval, mean +- radius
+        total = 0.0
+        for n, x in enumerate(xs, start=1):
+            prev = tracker.l_env[0], tracker.r_env[0]
+            tracker.add(np.array([0]), 1, np.array([x]))
+            tracker.refresh()
+            assert tracker.l_env[0] >= prev[0] and tracker.r_env[0] <= prev[1]
+            total += x
+            c = radius(n, 4, 0.1, 1.0)
+            raw.append((total / n - c, total / n + c))
+        # the envelope lies inside every raw interval, and touches the
+        # tightest lower and upper ends
+        l_env, r_env = tracker.l_env[0], tracker.r_env[0]
+        assert all(l_env >= l - 1e-12 and r_env <= r + 1e-12 for l, r in raw)
+        assert l_env == pytest.approx(max(l for l, _ in raw), abs=1e-12)
+        assert r_env == pytest.approx(min(r for _, r in raw), abs=1e-12)
 
     def test_tracker_matches_scalar_updates(self):
+        # the tracker against a per-sample fold with the scalar radius
         rng = np.random.default_rng(5)
-        k = 4
-        tracker = IntervalTracker(k, np.full(k, 1.3), delta=0.2)
-        stats = [ArmStats() for _ in range(k)]
-        states = [IntervalState() for _ in range(k)]
+        k, delta, sigma = 4, 0.2, 1.3
+        tracker = IntervalTracker(k, np.full(k, sigma), delta=delta)
+        counts, totals = [0] * k, [0.0] * k
+        l_env, r_env = [-math.inf] * k, [math.inf] * k
         for _ in range(50):
             arm = int(rng.integers(k))
             x = float(rng.normal())
             tracker.add(np.array([arm]), 1, np.array([x]))
             tracker.refresh()
-            stats[arm], states[arm] = update(stats[arm], states[arm], x, k, 0.2, 1.3)
+            counts[arm] += 1
+            totals[arm] += x
+            c = radius(counts[arm], k, delta, sigma)
+            l_env[arm] = max(l_env[arm], totals[arm] / counts[arm] - c)
+            r_env[arm] = min(r_env[arm], totals[arm] / counts[arm] + c)
+        assert tracker.counts.tolist() == counts
         for a in range(k):
-            if stats[a].count == 0:
-                continue
-            assert tracker.l_raw[a] == pytest.approx(states[a].l, abs=1e-12)
-            assert tracker.r_raw[a] == pytest.approx(states[a].r, abs=1e-12)
-            assert tracker.l_env[a] == pytest.approx(states[a].l_env, abs=1e-12)
-            assert tracker.r_env[a] == pytest.approx(states[a].r_env, abs=1e-12)
+            assert tracker.l_env[a] == pytest.approx(l_env[a], abs=1e-12)
+            assert tracker.r_env[a] == pytest.approx(r_env[a], abs=1e-12)
 
     def test_add_repeated_index_accumulates_per_occurrence(self):
         # naive's LUCB round lists the endpoints of the leader and challenger
@@ -171,7 +180,8 @@ class TestCoverage:
         # misses the true mean 1.0
         tracker.add(np.array([1]), 10_000, np.zeros(1))
         tracker.refresh()
-        assert tracker.l_raw[1] < 1.0 and tracker.r_raw[1] < 1.0
+        assert tracker.means[1] + radius(20_000, 3, 0.1, 1.0) < 1.0
+        assert tracker.r_env[1] < 1.0
         assert not tracker.contains_truth(inst)
 
     def test_good_event_rate_over_runs(self):
@@ -194,20 +204,19 @@ class TestCoverage:
 
 
 def refresh_every_sampled_arm(tracker):
-    """Reference refresh: recompute every arm with counts > 0 from scratch."""
+    """Reference refresh: tighten every arm with counts > 0 by its interval,
+    recomputed from the counts and sums."""
     sampled = tracker.counts > 0
     s = tracker.counts[sampled].astype(float)
     c = tracker.radius(s, tracker.sigmas[sampled])
     mean = tracker.sums[sampled] / s
-    tracker.l_raw[sampled] = mean - c
-    tracker.r_raw[sampled] = mean + c
-    np.maximum(tracker.l_env, tracker.l_raw, out=tracker.l_env)
-    np.minimum(tracker.r_env, tracker.r_raw, out=tracker.r_env)
+    tracker.l_env[sampled] = np.maximum(tracker.l_env[sampled], mean - c)
+    tracker.r_env[sampled] = np.minimum(tracker.r_env[sampled], mean + c)
 
 
 def assert_same_intervals(a, b):
-    for name in ("counts", "sums", "l_raw", "r_raw", "l_env", "r_env"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("counts", "sums", "means", "l_env", "r_env"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
 class TestTouchedArmRefresh:
@@ -233,7 +242,7 @@ class TestTouchedArmRefresh:
                 refresh_every_sampled_arm(ref)
                 assert_same_intervals(fast, ref)
         assert np.all(fast.counts[5:] == 0)
-        assert np.all(fast.l_raw[5:] == -np.inf) and np.all(fast.r_env[5:] == np.inf)
+        assert np.all(fast.l_env[5:] == -np.inf) and np.all(fast.r_env[5:] == np.inf)
 
     def test_block_split_over_add_chunks(self):
         # a checkpoint split: one block reaches the tracker as several adds
@@ -256,7 +265,7 @@ class TestTouchedArmRefresh:
         ref.add(np.array([1, 1, 4]), 2, np.array([0.5, -0.5, 3.0]))
         fast.refresh()
         refresh_every_sampled_arm(ref)
-        before = {n: getattr(fast, n).copy() for n in ("l_raw", "r_raw", "l_env", "r_env")}
+        before = {n: getattr(fast, n).copy() for n in ("l_env", "r_env")}
         fast.refresh()
         refresh_every_sampled_arm(ref)
         assert_same_intervals(fast, ref)

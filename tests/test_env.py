@@ -13,7 +13,6 @@ from maxgap.env import (
     build_one_gap_instance,
     build_two_gap_instance,
     load_means_file,
-    sample,
     sample_block,
     sample_sums,
 )
@@ -112,24 +111,30 @@ def test_descending_order_matches_two_key_lexsort(values):
 class TestSampling:
     def test_zero_noise_arm_is_deterministic(self):
         inst = make_instance([0.1, 0.7, 1.5], sigma=0.0)
-        rng = np.random.default_rng(0)
-        assert all(sample(inst, 1, rng) == 0.7 for _ in range(5))
+        block = sample_block(inst, np.array([1, 1, 2]), 5, np.random.default_rng(0))
+        assert block.tolist() == [[0.7, 0.7, 1.5]] * 5
 
     def test_same_seed_same_samples(self):
         inst = make_instance([0.0, 1.0, 3.0])
-        a = [sample(inst, 1, np.random.default_rng(42)) for _ in range(1)]
-        b = [sample(inst, 1, np.random.default_rng(42)) for _ in range(1)]
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        pair1 = (sample(inst, 2, rng1), sample(inst, 2, rng1))
-        pair2 = (sample(inst, 2, rng2), sample(inst, 2, rng2))
-        assert a == b and pair1 == pair2
+        arms = np.array([2, 0])
+        a = sample_block(inst, arms, 3, np.random.default_rng(42))
+        b = sample_block(inst, arms, 3, np.random.default_rng(42))
+        assert a.tobytes() == b.tobytes()
+        rng = np.random.default_rng(7)
+        first, second = (sample_block(inst, arms, 1, rng) for _ in range(2))
+        assert not np.array_equal(first, second)  # the generator moves on
 
     def test_block_matches_sequential_draws(self):
-        inst = make_instance([0.0, 1.0, 3.0])
-        block = sample_block(inst, np.array([0, 2]), 4, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        seq = [[sample(inst, 0, rng), sample(inst, 2, rng)] for _ in range(4)]
-        assert np.allclose(block, seq)
+        # one standard normal per draw, round by round and arm by arm
+        inst = Instance((ArmSpec(0.0, 1.0), ArmSpec(1.0, 0.5), ArmSpec(3.0, 2.0)))
+        rng_block, rng = np.random.default_rng(3), np.random.default_rng(3)
+        block = sample_block(inst, np.array([0, 2]), 4, rng_block)
+        seq = [
+            [m + s * rng.standard_normal() for m, s in ((0.0, 1.0), (3.0, 2.0))]
+            for _ in range(4)
+        ]
+        assert block.tolist() == seq
+        assert rng_block.bit_generator.state == rng.bit_generator.state
 
     def test_law_of_large_numbers(self):
         # 1e5 standard normal samples: empirical mean within 0.02 of zero
@@ -139,8 +144,9 @@ class TestSampling:
 
     def test_out_of_range_arm(self):
         inst = make_instance([0.0, 1.0, 3.0])
-        with pytest.raises(IndexError):
-            sample(inst, 3, np.random.default_rng(0))
+        for arms in ([0, 3], [-1]):
+            with pytest.raises(IndexError):
+                sample_block(inst, np.array(arms), 2, np.random.default_rng(0))
 
 
 class TestSampleSums:

@@ -17,8 +17,13 @@ joined by ``,`` (``-`` when there are none).
 A change that keeps the RNG stream must leave the output identical, so
 comparing two checkouts is a ``diff`` of their outputs; on a change that
 moves the stream, the last column is a pre-flight of the benchmark's gate
-over the trial seeds that ``perfbench/run.py --seed S`` runs.  Nothing is
-written into the checkout: no bytecode, and the CSV goes to a temporary
+over the trial seeds that ``perfbench/run.py --seed S`` runs.  The two
+checks that ``perfbench/run.py --seed S`` makes before its loop are run
+first: ``checks.oracle_problems(S, run.ORACLE_SNAPSHOTS)``, and
+``checks.recorded_rows_problems`` on each workload's trial 0.  Each problem
+they find is printed as one line ``preflight <workload or oracle> <seed>
+<problem>`` ahead of the fingerprints; a clean checkout prints none.  Nothing
+is written into the checkout: no bytecode, and the CSV goes to a temporary
 directory.
 """
 
@@ -41,6 +46,18 @@ EXTRA = (
 )
 
 
+def preflight(checks, run, workloads, seed: int) -> list[str]:
+    """The lines for the problems of the checks ``perfbench/run.py --seed S``
+    makes before its loop (see the module docstring)."""
+    oracle = checks.oracle_problems(seed, run.ORACLE_SNAPSHOTS)
+    lines = [f"preflight oracle {seed} {p}" for p in oracle]
+    first = run.trial_seed(seed, 0)
+    for name in run.WORKLOADS:
+        _, bad = checks.recorded_rows_problems(workloads[name].trial(first).traces)
+        lines += [f"preflight {name} {first} {p}" for p in bad]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", required=True, help="checkout to fingerprint")
@@ -51,6 +68,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import run  # perfbench/run.py; pins BLAS/OpenMP to one thread on import
+    import checks
     from workloads import make_workloads
 
     jobs = [
@@ -64,6 +82,8 @@ def main(argv=None) -> int:
         for w in workloads.values():
             w.setup()
         try:
+            for line in preflight(checks, run, workloads, args.seed):
+                print(line)
             for name, seed in jobs:
                 w = workloads[name]
                 trial = w.trial(seed)
